@@ -19,10 +19,10 @@
 //!   its `shards` and `threads` provenance and a speedup-vs-serial
 //!   summary. Lanes dispatch on worker threads now (DESIGN.md §17) and
 //!   every configuration replays the serial run byte-identically, so the
-//!   sweep measures real wall-clock parallelism: coordinator rows
-//!   (`threads=1`) keep the synchronizer's overhead visible, threaded
-//!   rows show what the same windows cost when the lanes run
-//!   concurrently. Read the speedups next to `host.cores` — a
+//!   sweep measures real wall-clock parallelism: inline rows
+//!   (`threads=1`, each window's lanes run one after another) keep the
+//!   synchronizer's overhead visible, threaded rows show what the same
+//!   windows cost when the lanes run concurrently. Read the speedups next to `host.cores` — a
 //!   single-core host bounds wall parallelism at 1x by construction.
 //!
 //! ```text
@@ -167,7 +167,7 @@ fn thread_cap() -> usize {
         .unwrap_or(4)
 }
 
-/// The sweep rows: for every shard count, a coordinator row (`threads=1`,
+/// The sweep rows: for every shard count, an inline row (`threads=1`,
 /// the synchronizer's overhead) and — where it differs — a threaded row
 /// (`threads = min(shards, cap)`, the measured parallel dispatch).
 fn parallel_configs() -> Vec<(usize, usize)> {
@@ -295,7 +295,7 @@ fn main() -> ExitCode {
     // The shard × thread sweep over the timer storm. Every configuration
     // replays the serial run byte-identically (scheduler_equiv and the
     // storm's own tests prove it), so the rows isolate cost and gain:
-    // coordinator rows (threads=1) price the synchronizer, threaded rows
+    // inline rows (threads=1) price the synchronizer, threaded rows
     // measure lanes dispatching on worker threads (DESIGN.md §17).
     let parallel_reports: Vec<_> = parallel_configs()
         .into_iter()

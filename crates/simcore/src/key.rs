@@ -2,13 +2,12 @@
 //! lanes byte-identical to the serial kernel.
 //!
 //! Every event carries a [`DispatchKey`] assigned **at push time** by the
-//! pushing context's [`KeyStream`] and never rewritten. Both kernels (the
-//! serial loop and the windowed lane coordinator) dispatch events in
-//! lexicographic `(time, key)` order, and because the key depends only on
-//! *which machine pushed the event and when in that machine's own
-//! history* — never on a global counter — serial, coordinator-sharded and
-//! threaded executions compute identical keys and therefore identical
-//! dispatch orders, traces and queue statistics.
+//! pushing context's [`KeyStream`] and never rewritten. The kernel's run
+//! loop dispatches events in lexicographic `(time, key)` order, and
+//! because the key depends only on *which machine pushed the event and
+//! when in that machine's own history* — never on a global counter —
+//! serial, sharded and threaded executions compute identical keys and
+//! therefore identical dispatch orders, traces and queue statistics.
 //!
 //! # Layout
 //!

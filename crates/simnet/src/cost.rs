@@ -120,9 +120,9 @@ impl CostModel {
     /// latency, even zero-latency kernel completions) never crosses a
     /// lane, so only `lan_latency` bounds the window. Floored at one
     /// microsecond — with a zero-cost model every instant would be its
-    /// own window, which is correct but degenerate; the kernel falls back
-    /// to coordinator-serial dispatch when `lan_latency` is below this
-    /// floor (see `DESIGN.md` §17).
+    /// own window, which is correct but degenerate; a world whose
+    /// `lan_latency` is below this floor (or whose `rsh_connect` is below
+    /// the lookahead) is built with one lane (see `DESIGN.md` §17.3).
     pub fn lookahead(&self) -> Duration {
         self.lan_latency.max(Duration::from_micros(1))
     }

@@ -146,8 +146,8 @@ impl<'w> Ctx<'w> {
     // ---------------- randomness & tracing ----------------
 
     /// Deterministic uniform integer in `[lo, hi)`, drawn from this
-    /// machine's RNG stream (so draws replay identically in every
-    /// execution mode — the stream is a pure function of the machine's
+    /// machine's RNG stream (so draws replay identically at every shard
+    /// and thread count — the stream is a pure function of the machine's
     /// dispatch history).
     pub fn rng_u64(&mut self, lo: u64, hi: u64) -> u64 {
         let local = self.lane.local_of(self.machine());

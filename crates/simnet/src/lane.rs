@@ -37,8 +37,12 @@ use rb_simcore::{
     Duration, EventQueue, FxHashMap, KeyStream, MetricsRegistry, ProfTimer, Profiler, QueueKind,
     SimRng, SimTime, SpanTracker, TraceEvent, TraceRecorder,
 };
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
+
+/// What a panicking behavior unwound with.
+pub(crate) type PanicPayload = Box<dyn std::any::Any + Send>;
 
 /// Pseudo-sender for messages injected by the test/scenario harness.
 pub const HARNESS: ProcId = ProcId(0);
@@ -230,8 +234,8 @@ pub(crate) struct RshOp {
 
 /// The immutable (or coordinator-written) remainder of the world, shared
 /// read-only by every lane. Everything here is either set once at build
-/// time or — for the machine-liveness mirror — written only by the
-/// coordinator between dispatches, which both execution modes order
+/// time or — for the machine-liveness mirror — written only by harness
+/// code between windows, which every shard and thread count orders
 /// identically.
 pub(crate) struct SharedCore {
     pub cost: CostModel,
@@ -280,8 +284,8 @@ impl SharedCore {
 /// that owns the machine) ever touches it, so streams need no
 /// synchronization, and because each stream's output is a pure function
 /// of the machine's own dispatch history — which the `(time, key)` order
-/// makes identical in every execution mode — the ids and keys they mint
-/// replay byte-identically however many threads run.
+/// makes identical at every shard and thread count — the ids and keys
+/// they mint replay byte-identically however many threads run.
 pub(crate) struct MachineKernel {
     pub id: MachineId,
     /// Dense process table: `ProcId::tagged(id, k)` lives at index `k-1`.
@@ -318,28 +322,35 @@ impl MachineKernel {
     }
 }
 
-/// One dispatch replayed to the coordinator from a threaded window: when
+/// One dispatch replayed to the coordinator from a logged window: when
 /// it ran, under which key, how many events it pushed, the trace events
 /// it staged, and (when happens-before tracing is on) its footprint. The
 /// coordinator applies records in merged `(time, key)` order, which makes
 /// every world-side observable — canonical trace, `QueueStats` mirror,
-/// synchronizer counters — byte-identical to coordinator-serial dispatch.
+/// synchronizer counters — independent of how many lanes ran the window
+/// and on how many threads.
 pub(crate) struct DispatchRecord {
     pub at: SimTime,
     pub key: u64,
     pub pushes: u32,
     pub traces: Vec<TraceEvent>,
-    pub hb: Option<HbInfo>,
+    /// For a `shard.ev` happens-before record: the `(origin,
+    /// dispatch_idx)` the dispatch ran as and the event's footprint.
+    pub hb: Option<((u64, u64), EventInfo)>,
 }
 
-/// Pre-dispatch footprint captured for a `shard.ev` happens-before record.
-pub(crate) struct HbInfo {
-    /// `(origin, dispatch_idx)` this dispatch ran as.
-    pub did: (u64, u64),
-    pub kind: EventKind,
-    pub proc: Option<ProcId>,
-    pub other: Option<ProcId>,
-    pub machine: Option<MachineId>,
+/// What a window without a dispatch log folds into the world's queue-stats
+/// mirror. When only this lane had work, its dispatches are the global
+/// order, so the depth after the `k`-th is the depth at window open plus
+/// the running sum of `pushes - 1`, and `max_prefix` (the largest such
+/// sum, or 0) gives the window's exact `peak_depth`.
+#[derive(Default)]
+pub(crate) struct WindowRun {
+    pub events: u64,
+    pub pushes: u64,
+    pub max_prefix: i64,
+    /// Time of the last dispatch.
+    pub last: SimTime,
 }
 
 /// A lane: the machines it owns plus its slice of the event queue and
@@ -361,8 +372,9 @@ pub(crate) struct Lane {
     /// death and machine crashes (it's a disk).
     pub disks: FxHashMap<(MachineId, String, String), Vec<u8>>,
     /// Trace staging: dispatch handlers record here; the coordinator
-    /// absorbs into the canonical recorder in dispatch order. Enabled iff
-    /// the world traces, so untraced runs pay nothing.
+    /// absorbs into the canonical recorder in dispatch order at the
+    /// window barrier. Enabled iff the world traces, so untraced runs pay
+    /// nothing.
     pub trace: TraceRecorder,
     /// Metrics staging for `Ctx::metric_*` calls, merged at barriers.
     pub metrics: Option<MetricsRegistry>,
@@ -370,10 +382,9 @@ pub(crate) struct Lane {
     /// `World::profiler` merges the per-lane profiles on demand.
     pub prof: Option<Box<Profiler>>,
     /// Cross-lane pushes made during dispatch: `(dest lane, at, key, ev)`,
-    /// forwarded by the coordinator after the dispatch (serial) or at the
-    /// window barrier (threaded).
+    /// forwarded by the coordinator at the window barrier.
     pub outbox: Vec<(usize, SimTime, u64, Event)>,
-    /// Threaded-window dispatch log, drained by the coordinator's merge.
+    /// Logged-window dispatch log, drained by the coordinator's merge.
     pub log: Vec<DispatchRecord>,
     /// Local index of the machine whose dispatch is running (whose key
     /// stream pushes draw from).
@@ -557,12 +568,7 @@ impl Lane {
     /// `(origin, dispatch_idx)` identity the dispatch ran as (consumed by
     /// happens-before records). Machine-less events (deliveries to the
     /// harness pseudo-process) run as machine 0, which lane 0 owns.
-    pub(crate) fn dispatch_one(
-        &mut self,
-        shared: &SharedCore,
-        at: SimTime,
-        ev: Event,
-    ) -> (u64, u64) {
+    fn dispatch_one(&mut self, shared: &SharedCore, at: SimTime, ev: Event) -> (u64, u64) {
         self.now = at;
         self.pushed = 0;
         let m = ev.machine().unwrap_or(MachineId(0));
@@ -586,35 +592,56 @@ impl Lane {
         did
     }
 
-    /// Threaded-window body: dispatch every pending event strictly before
-    /// `end`, logging one [`DispatchRecord`] per dispatch for the
-    /// coordinator's deterministic merge. Conservative synchronization
-    /// guarantees no cross-lane event with time `< end` can appear while
-    /// the window runs, so the lane needs nothing from anyone else.
-    pub(crate) fn run_window(&mut self, shared: &SharedCore, end: SimTime) {
-        while let Some((t, key)) = self.queue.peek_key() {
-            if t >= end {
-                break;
+    /// The window body — the only place a lane event is dispatched:
+    /// `first` (an event the caller already popped, e.g. an oracle's
+    /// pick), then every pending event strictly before `end`, at most
+    /// `budget` in all. Conservative synchronization guarantees no
+    /// cross-lane event with time `< end` can appear meanwhile. With `log`
+    /// each dispatch leaves a [`DispatchRecord`] for the coordinator's
+    /// merge; without it the window only counts (see [`WindowRun`]) and
+    /// its trace stays staged for one absorb. A behavior panic ends the
+    /// window and comes back as the error.
+    pub(crate) fn run_window(
+        &mut self,
+        shared: &SharedCore,
+        end: SimTime,
+        budget: u64,
+        log: bool,
+        mut first: Option<(SimTime, u64, Event)>,
+    ) -> Result<WindowRun, PanicPayload> {
+        catch_unwind(AssertUnwindSafe(|| {
+            let mut run = WindowRun::default();
+            let mut prefix = 0i64;
+            while run.events < budget {
+                let (at, key, ev) = match first.take() {
+                    Some(popped) => popped,
+                    None => match self.queue.peek_key() {
+                        Some((t, key)) if t < end => {
+                            let (at, ev) = self.queue.pop().expect("peeked head");
+                            (at, key, ev)
+                        }
+                        _ => break,
+                    },
+                };
+                let hb = (log && self.hb).then(|| self.event_info(&ev));
+                let did = self.dispatch_one(shared, at, ev);
+                run.events += 1;
+                run.pushes += self.pushed as u64;
+                prefix += self.pushed as i64 - 1;
+                run.max_prefix = run.max_prefix.max(prefix);
+                run.last = at;
+                if log {
+                    self.log.push(DispatchRecord {
+                        at,
+                        key,
+                        pushes: self.pushed,
+                        traces: self.trace.take_events(),
+                        hb: hb.map(|info| (did, info)),
+                    });
+                }
             }
-            let (at, ev) = self.queue.pop().expect("peeked head");
-            let hb_pre = self.hb.then(|| self.event_info(&ev));
-            let did = self.dispatch_one(shared, at, ev);
-            let traces = self.trace.take_events();
-            let hb = hb_pre.map(|info| HbInfo {
-                did,
-                kind: info.kind,
-                proc: info.proc,
-                other: info.other,
-                machine: info.machine,
-            });
-            self.log.push(DispatchRecord {
-                at,
-                key,
-                pushes: self.pushed,
-                traces,
-                hb,
-            });
-        }
+            run
+        }))
     }
 
     fn handle(&mut self, shared: &SharedCore, ev: Event) {

@@ -10,10 +10,10 @@
 //! back into the canonical `(time, key)` order, which is what makes a
 //! threaded run byte-identical to the serial kernel (`DESIGN.md` §17).
 //!
-//! This module holds the bookkeeping shared by both execution modes — the
-//! window cursor and the per-lane dispatch/barrier counters published as
+//! This module holds the synchronizer's bookkeeping — the window cursor
+//! and the per-lane dispatch/barrier counters published as
 //! [`ShardStats`] — not the dispatch machinery itself, which lives in
-//! `crate::lane` (lane-owned state) and `crate::world` (the coordinator).
+//! `crate::lane` (the window body) and `crate::world` (the run loop).
 
 use rb_simcore::{Duration, SimTime};
 
@@ -38,7 +38,9 @@ pub struct LaneStats {
 pub struct ShardStats {
     /// Number of lanes.
     pub shards: usize,
-    /// Synchronizer windows opened so far.
+    /// Synchronizer windows opened so far: one per run-loop window
+    /// (`step`, `run_until_pred` and oracle runs open one-event windows),
+    /// plus one per harness closure that falls outside the open window.
     pub windows: u64,
     /// The conservative lookahead bounding each window.
     pub lookahead: Duration,
@@ -51,12 +53,12 @@ pub struct ShardStats {
     pub stall_hist: [u64; STALL_BUCKETS],
 }
 
-/// Window cursor + per-lane accounting. Both execution modes drive it
-/// identically — one `open_window` per window, one `note_dispatch` per
-/// dispatched event, in the canonical merged order — so its counters are
-/// mode-independent except for the window structure itself (the threaded
-/// coordinator clamps windows at harness events, metrics samples, and the
-/// run limit; the serial coordinator does not).
+/// Window cursor + per-lane accounting, driven by the run loop: one
+/// `open_window` per window and `note_dispatches` for every dispatched
+/// event. Dispatch counts are the same at every thread count; the window
+/// structure depends on how the world is driven — windows are clamped at
+/// harness events, metrics samples and the run limit, and `step` opens
+/// one-event windows.
 pub(crate) struct Synchronizer {
     shards: usize,
     windows: u64,
@@ -125,10 +127,10 @@ impl Synchronizer {
         self.window_end = end;
     }
 
-    /// Account one dispatched event to `lane` (in merged dispatch order).
+    /// Account `n` dispatched events to `lane` in the current window.
     #[inline]
-    pub(crate) fn note_dispatch(&mut self, lane: usize) {
-        self.dispatched[lane] += 1;
+    pub(crate) fn note_dispatches(&mut self, lane: usize, n: u64) {
+        self.dispatched[lane] += n;
         self.window_had[lane] = true;
     }
 
@@ -163,11 +165,10 @@ mod tests {
     fn windows_and_barrier_accounting() {
         let mut s = Synchronizer::new(2, false);
         s.open_window(SimTime::ZERO, SimTime(800_000));
-        s.note_dispatch(0);
-        s.note_dispatch(0);
+        s.note_dispatches(0, 2);
         // Lane 1 idle through window 1 → charged at the next open.
         s.open_window(SimTime(800_000), SimTime(1_600_000));
-        s.note_dispatch(1);
+        s.note_dispatches(1, 1);
         s.open_window(SimTime(2_000_000), SimTime(2_800_000));
         let st = s.stats(Duration::from_micros(800), |_| 0);
         assert_eq!(st.windows, 3);

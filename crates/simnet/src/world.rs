@@ -1,26 +1,28 @@
-//! The simulation world: the lane coordinator, harness API, and the
-//! byte-identity machinery between serial and threaded execution.
+//! The simulation world: the lane coordinator, harness API, and the one
+//! run loop.
 //!
 //! [`World`] owns a set of [`Lane`]s (machine-affine `Send` execution
 //! units, see `crate::lane`) plus everything only the coordinator touches:
 //! the harness event queue and key stream, the canonical trace recorder,
 //! the metrics registry, the queue-stats mirror, and the conservative
-//! synchronizer. Two execution modes drive the same lanes:
+//! synchronizer.
 //!
-//! * **coordinator-serial** — `step`/`step_instant` pop the globally
-//!   minimal `(time, key)` event across all lane queues and dispatch it
-//!   inline; this is the mode oracles and model checking run in;
-//! * **threaded** — `run_until`/`run_for`/`run_until_idle` on a world
-//!   built with [`WorldBuilder::threads`]`(n > 1)` farm whole lanes out
-//!   to a worker pool per conservative window and merge the per-lane
-//!   dispatch logs back into the canonical order at each barrier.
-//!
-//! Both modes produce byte-identical traces and [`QueueStats`] — the
-//! determinism contract `DESIGN.md` §17 spells out and the
-//! `scheduler_equiv` suite enforces.
+//! Every way of advancing time — `run_*`, `step`, `run_until_pred`,
+//! schedule-oracle runs — goes through one loop of windows. A harness
+//! closure at the head runs alone on the coordinator; anything else opens
+//! a window `[head, end)`: a **solo** window (one lane with work, hb
+//! tracing off) runs inline and folds into counts; a **logged** window
+//! runs its lanes inline at `threads = 1` or on a worker pool otherwise,
+//! and replays the merged per-lane dispatch logs in canonical
+//! `(time, key)` order at the barrier; `step` and oracle runs open
+//! **one-event** windows. Every shard and thread count produces
+//! byte-identical traces and [`QueueStats`] — the determinism contract
+//! `DESIGN.md` §17 spells out and the `scheduler_equiv` suite enforces.
 
 use crate::cost::CostModel;
-use crate::lane::{debug_hash, DispatchRecord, Event, Lane, MachineKernel, SharedCore};
+use crate::lane::{
+    debug_hash, DispatchRecord, Event, Lane, MachineKernel, PanicPayload, SharedCore,
+};
 use crate::machine::MachineState;
 use crate::process::{Behavior, ProcEnv, ProcState, RshBinding};
 use crate::shard::{ShardStats, Synchronizer};
@@ -172,7 +174,10 @@ impl WorldBuilder {
     /// Partition the machines across `n` lanes under the conservative
     /// time-window synchronizer (see `crate::shard`). `1` (the default)
     /// is the plain serial kernel; any other value is clamped to the
-    /// machine count at build time. Every shard count replays
+    /// machine count at build time, and to 1 for a cost model below the
+    /// window floor (`lan_latency` under 1µs or `rsh_connect` under
+    /// [`CostModel::lookahead`]), whose cross-lane events could land in
+    /// the window that produced them. Every shard count replays
     /// byte-identically to the serial kernel — sharding changes which
     /// lane an event waits in, never the `(time, key)` dispatch order.
     pub fn shards(mut self, n: usize) -> Self {
@@ -181,12 +186,10 @@ impl WorldBuilder {
     }
 
     /// Dispatch windows on up to `n` worker threads (default 1: the
-    /// coordinator dispatches every lane inline). Takes effect only on a
-    /// sharded world (`shards > 1`) whose cost model has enough
-    /// cross-machine latency for conservative windows (`lan_latency` at
-    /// least 1µs); otherwise runs fall back to the coordinator, which is
-    /// always byte-identical anyway. Thread count never affects results —
-    /// only wall-clock time.
+    /// coordinator runs every lane of a window inline, in lane order).
+    /// Only windows in which two or more lanes have work go to the pool,
+    /// so threads matter only on a sharded world. Thread count never
+    /// affects results — only wall-clock time.
     pub fn threads(mut self, n: usize) -> Self {
         self.threads = n.max(1);
         self
@@ -195,9 +198,10 @@ impl WorldBuilder {
     /// Record happens-before metadata — one `shard.ev` line per dispatch
     /// plus a `shard.window` line per synchronizer window — into the
     /// trace, for the `rbrace hb` race checker. Effective only on a
-    /// sharded, traced world; off by default, so the byte-identity
-    /// contract between serial and sharded traces is untouched unless a
-    /// run opts in.
+    /// sharded, traced world, whose windows then always log every
+    /// dispatch (the records ride on the dispatch log); off by default,
+    /// so the byte-identity contract between serial and sharded traces is
+    /// untouched unless a run opts in.
     pub fn hb_trace(mut self, on: bool) -> Self {
         self.hb_trace = on;
         self
@@ -224,11 +228,11 @@ impl WorldBuilder {
     }
 
     /// Test-only fault injection: seed every machine's dispatch-key
-    /// stream with `machine_id % shards` instead of `machine_id`, so
-    /// machines sharing a lane mint colliding keys. A world built this
-    /// way violates the per-origin key-uniqueness invariant the
-    /// determinism contract rests on — the `scheduler_equiv` suite uses
-    /// it to prove serial-vs-sharded divergence is actually caught.
+    /// stream with `machine_id / shards` instead of `machine_id`, so
+    /// machines on different lanes mint colliding keys — the per-lane
+    /// id-collision bug machine-affine streams prevent. Such a world
+    /// violates the key-uniqueness invariant the determinism contract
+    /// rests on; the `rbrace hb` acceptance tests prove it is caught.
     #[doc(hidden)]
     pub fn sabotage_shared_lane_keys(mut self, on: bool) -> Self {
         self.sabotage_lane_keys = on;
@@ -238,7 +242,12 @@ impl WorldBuilder {
     /// Construct the world.
     pub fn build(self) -> World {
         assert!(!self.machines.is_empty(), "a world needs machines");
-        let shards = self.shards.clamp(1, self.machines.len());
+        let sub_floor = self.cost.lan_latency < Duration::from_micros(1)
+            || self.cost.rsh_connect < self.cost.lookahead();
+        let shards = self
+            .shards
+            .clamp(1, if sub_floor { 1 } else { self.machines.len() });
+        let hb = self.hb_trace && self.trace && shards > 1;
         let mut hosts: Vec<(Box<str>, MachineId)> = self
             .machines
             .iter()
@@ -278,7 +287,7 @@ impl WorldBuilder {
                     machines.push(MachineState::new(attrs.clone()));
                     let mut kern = MachineKernel::new(id, self.seed);
                     if self.sabotage_lane_keys {
-                        kern.keys = KeyStream::for_machine((i % shards) as u64);
+                        kern.keys = KeyStream::for_machine((i / shards) as u64);
                     }
                     mkern.push(kern);
                 }
@@ -308,7 +317,7 @@ impl WorldBuilder {
                     cur: 0,
                     pushed: 0,
                     wall_ns: 0,
-                    hb: self.hb_trace && self.trace && shards > 1,
+                    hb,
                 }
             })
             .collect();
@@ -337,7 +346,7 @@ impl WorldBuilder {
             }),
             trace_checks: Vec::new(),
             oracle: None,
-            hb_trace: self.hb_trace && self.trace && shards > 1,
+            hb_trace: hb,
             hb_last_window: 0,
         }
     }
@@ -359,39 +368,33 @@ struct MetricsState {
     next_at: SimTime,
 }
 
-/// One unit of work shipped to a lane worker: the lane itself (by value —
-/// explicit ownership handoff), its index, and the window to run.
-struct Job {
-    lane: Lane,
-    idx: usize,
-    end: SimTime,
-    shared: Arc<SharedCore>,
-}
-
-/// The lane worker pool: one channel per worker (lane→worker assignment
-/// is static, `lane % workers`, so a lane's cache state tends to stay on
-/// one core), one shared result channel back to the coordinator.
+/// The lane worker pool: one job channel per worker (lanes move by value;
+/// lane→worker assignment is static, `lane % workers`, so a lane's cache
+/// state tends to stay on one core), one shared result channel back. A
+/// worker whose lane panicked still sends it back, with the payload.
 struct Pool {
-    txs: Vec<mpsc::Sender<Job>>,
-    rx: mpsc::Receiver<(usize, Lane)>,
+    txs: Vec<mpsc::Sender<(usize, Lane, SimTime)>>,
+    rx: mpsc::Receiver<(usize, Lane, Option<PanicPayload>)>,
     handles: Vec<std::thread::JoinHandle<()>>,
 }
 
 impl Pool {
-    fn new(workers: usize) -> Pool {
+    fn new(workers: usize, shared: &Arc<SharedCore>) -> Pool {
         let (res_tx, rx) = mpsc::channel();
         let mut txs = Vec::with_capacity(workers);
         let mut handles = Vec::with_capacity(workers);
         for w in 0..workers {
-            let (tx, job_rx) = mpsc::channel::<Job>();
+            let (tx, job_rx) = mpsc::channel::<(usize, Lane, SimTime)>();
             let res = res_tx.clone();
+            let shared = shared.clone();
             handles.push(
                 std::thread::Builder::new()
                     .name(format!("rb-lane-{w}"))
                     .spawn(move || {
-                        while let Ok(mut job) = job_rx.recv() {
-                            job.lane.run_window(&job.shared, job.end);
-                            if res.send((job.idx, job.lane)).is_err() {
+                        while let Ok((idx, mut lane, end)) = job_rx.recv() {
+                            let panicked =
+                                lane.run_window(&shared, end, u64::MAX, true, None).err();
+                            if res.send((idx, lane, panicked)).is_err() {
                                 break;
                             }
                         }
@@ -413,16 +416,28 @@ impl Drop for Pool {
     }
 }
 
+/// Re-raise a behavior's panic on the coordinator, naming the lane and the
+/// window it ran in.
+fn lane_panic(lane: usize, head: SimTime, end: SimTime, payload: PanicPayload) -> ! {
+    let text = (payload.downcast_ref::<String>().map(String::as_str))
+        .or_else(|| payload.downcast_ref::<&str>().copied())
+        .unwrap_or("non-string panic payload");
+    panic!("lane {lane} panicked in window [{head}, {end}): {text}")
+}
+
+/// A solo window yields after this many dispatches, bounding the trace a
+/// lane stages between absorbs: a one-lane world's windows can span the
+/// whole run, and ring and streaming recorders promise bounded memory.
+const SOLO_WINDOW_EVENTS: u64 = 1 << 16;
+
 /// The simulated network of workstations.
 pub struct World {
     pub(crate) now: SimTime,
     pub(crate) shared: Arc<SharedCore>,
     pub(crate) lanes: Vec<Lane>,
-    /// Scripted harness actions on a multi-lane world (they close over
-    /// `&mut World`, so only the coordinator may run them — keeping them
-    /// out of lane queues lets whole windows thread without checking).
-    /// On a single-lane world harness events stay in the lane queue so
-    /// oracle batches see them.
+    /// Scripted harness actions (they close over `&mut World`, so only
+    /// the coordinator may run them — keeping them out of lane queues lets
+    /// whole windows run without checking). Holds `Event::Harness` only.
     harness_q: EventQueue<Event>,
     /// Origin-0 key stream for events pushed from harness context.
     harness_keys: KeyStream,
@@ -430,12 +445,12 @@ pub struct World {
     /// owning machine's tagged allocator).
     harness_spans: SpanTracker,
     /// Mirror of the global queue counters, maintained in canonical
-    /// dispatch order — identical across serial, coordinator-sharded and
-    /// threaded execution, which per-queue counters would not be.
+    /// dispatch order — identical at every shard and thread count, which
+    /// per-queue counters would not be.
     stats: QueueStats,
     /// Window cursor + per-lane accounting; `Some` iff `shards > 1`.
     syn: Option<Synchronizer>,
-    /// Worker-thread budget for windowed dispatch (1 = coordinator only).
+    /// Worker-thread budget for windowed dispatch (1 = lanes run inline).
     threads: usize,
     pool: Option<Pool>,
     pub(crate) trace: TraceRecorder,
@@ -521,8 +536,8 @@ impl World {
     }
 
     /// Work counters of the kernel's event queues, maintained in the
-    /// canonical dispatch order: every execution mode reports the same
-    /// trajectory.
+    /// canonical dispatch order: every shard and thread count reports the
+    /// same trajectory.
     pub fn kernel_stats(&self) -> QueueStats {
         self.stats
     }
@@ -537,7 +552,7 @@ impl World {
         self.lanes.len()
     }
 
-    /// Worker-thread budget for windowed dispatch (1 = coordinator only).
+    /// Worker-thread budget for windowed dispatch (1 = lanes run inline).
     pub fn thread_count(&self) -> usize {
         self.threads
     }
@@ -653,12 +668,10 @@ impl World {
         self.trace.finish_stream(&stats);
     }
 
-    /// Sample gauges once the virtual-time cursor is due, at `at`. When
-    /// `head_pending` the head event of the upcoming window has not been
-    /// popped yet (threaded window-open sampling); adjust the queue
-    /// counters so the snapshot matches what coordinator-serial execution
-    /// — which samples right after popping that event — would report.
-    fn sample_metrics_at(&mut self, at: SimTime, head_pending: bool) {
+    /// Sample gauges once the virtual-time cursor is due, at `at`, the time
+    /// of the next event to dispatch; the queue counters are reported as
+    /// of just after popping that event.
+    fn sample_metrics_at(&mut self, at: SimTime) {
         let due = match self.metrics.as_ref() {
             Some(m) => at >= m.next_at,
             None => return,
@@ -667,10 +680,8 @@ impl World {
             return;
         }
         let mut stats = self.stats;
-        if head_pending {
-            stats.dispatched += 1;
-            stats.depth -= 1;
-        }
+        stats.dispatched += 1;
+        stats.depth -= 1;
         let mut per_machine = vec![0u32; self.shared.attrs.len()];
         let mut alive = 0u32;
         for lane in &self.lanes {
@@ -738,8 +749,9 @@ impl World {
     // Model-checking hooks
     // ------------------------------------------------------------------
 
-    /// Install a schedule oracle; subsequent [`World::step`]s route every
-    /// same-time tie through it instead of the key-order default.
+    /// Install a schedule oracle; every subsequent dispatch (`step` and
+    /// the `run_*` calls alike, each in one-event windows) routes
+    /// same-time ties through it instead of the key-order default.
     ///
     /// Oracles reorder same-time batches and requeue the rest, which only
     /// the single-lane kernel supports — model checking explores
@@ -1020,9 +1032,9 @@ impl World {
     /// Run a lane operation from harness context: position the lane at
     /// the current time with machine `m` as the dispatching context (its
     /// key stream continues without opening a new dispatch — harness
-    /// actions happen identically in every execution mode, so the stream
-    /// stays deterministic), then fold the lane's staged trace, pushes,
-    /// and outbox back into the world.
+    /// actions happen identically at every shard and thread count, so the
+    /// stream stays deterministic), then fold the lane's staged trace,
+    /// pushes, and outbox back into the world.
     fn lane_op<R>(&mut self, m: MachineId, f: impl FnOnce(&mut Lane, &SharedCore) -> R) -> R {
         let li = self.shared.lane_of(m);
         let shared = self.shared.clone();
@@ -1042,7 +1054,7 @@ impl World {
     fn push_harness_event(&mut self, at: SimTime, ev: Event) {
         let key = self.harness_keys.next_key().0;
         self.note_pushes(1);
-        if matches!(ev, Event::Harness(_)) && self.lanes.len() > 1 {
+        if matches!(ev, Event::Harness(_)) {
             self.harness_q.push_seq(at, key, ev);
         } else {
             let li = self.shared.lane_of(ev.machine().unwrap_or(MachineId(0)));
@@ -1187,7 +1199,7 @@ impl World {
     /// Fold lane `li`'s staged metrics into the world registry. Counter
     /// merges are exact; float sums merge in barrier order, which is why
     /// the determinism contract covers traces and `QueueStats` but not
-    /// float-valued metric digits across execution modes (§17).
+    /// float-valued metric digits across thread counts (§17).
     fn merge_lane_metrics(&mut self, li: usize) {
         let Some(m) = self.metrics.as_mut() else {
             return;
@@ -1201,126 +1213,271 @@ impl World {
     }
 
     // ------------------------------------------------------------------
-    // Run loop: coordinator
+    // Run loop
     // ------------------------------------------------------------------
 
     /// Earliest pending `(source, time, key)` across all lane queues and
     /// the harness queue (`usize::MAX` = harness).
     fn peek_min(&self) -> Option<(usize, SimTime, u64)> {
-        let mut best: Option<(usize, SimTime, u64)> = None;
-        for (i, lane) in self.lanes.iter().enumerate() {
-            if let Some((t, k)) = lane.queue.peek_key() {
-                if best.map(|(_, bt, bk)| (t, k) < (bt, bk)).unwrap_or(true) {
-                    best = Some((i, t, k));
-                }
-            }
-        }
-        if let Some((t, k)) = self.harness_q.peek_key() {
-            if best.map(|(_, bt, bk)| (t, k) < (bt, bk)).unwrap_or(true) {
-                best = Some((usize::MAX, t, k));
-            }
-        }
-        best
-    }
-
-    fn peek_time(&self) -> Option<SimTime> {
-        self.peek_min().map(|(_, t, _)| t)
-    }
-
-    fn pop_min(&mut self) -> Option<(SimTime, u64, Event)> {
-        let (src, t, k) = self.peek_min()?;
-        let q = if src == usize::MAX {
-            &mut self.harness_q
-        } else {
-            &mut self.lanes[src].queue
-        };
-        let (at, ev) = q.pop().expect("peeked head");
-        debug_assert_eq!(at, t);
-        Some((at, k, ev))
+        let lanes = self.lanes.iter().enumerate();
+        let heads = lanes.filter_map(|(i, l)| l.queue.peek_key().map(|(t, k)| (i, t, k)));
+        let harness = self.harness_q.peek_key().map(|(t, k)| (usize::MAX, t, k));
+        heads.chain(harness).min_by_key(|&(_, t, k)| (t, k))
     }
 
     /// Dispatch one event. Returns `false` if the queues are empty.
     pub fn step(&mut self) -> bool {
-        let popped = if self.oracle.is_some() {
-            self.pop_with_oracle()
-        } else {
-            self.pop_min()
-        };
-        let Some((at, key, ev)) = popped else {
-            return false;
-        };
+        self.windows(SimTime(u64::MAX), Some(1))
+    }
+
+    /// Run until virtual time reaches `t` (events at exactly `t` included).
+    pub fn run_until(&mut self, t: SimTime) {
+        self.windows(t, None);
+        if self.now < t {
+            self.now = t;
+        }
+    }
+
+    /// Run for a span of virtual time.
+    pub fn run_for(&mut self, d: Duration) {
+        let t = self.now + d;
+        self.run_until(t);
+    }
+
+    /// Run until the queue drains (only terminates for worlds without
+    /// self-rearming timers) or `limit` is reached.
+    pub fn run_until_idle(&mut self, limit: SimTime) {
+        self.windows(limit, None);
+    }
+
+    /// Run until `pred(world)` holds, checking after every event, up to
+    /// `limit`. Returns `true` if the predicate was satisfied. Runs
+    /// one-event windows: the predicate must observe every state the
+    /// kernel exposes, including mid-window ones.
+    pub fn run_until_pred(&mut self, limit: SimTime, pred: impl Fn(&World) -> bool) -> bool {
+        let mut holds = pred(self);
+        while !holds && self.windows(limit, Some(1)) {
+            holds = pred(self);
+        }
+        holds
+    }
+
+    /// The run loop: dispatch every pending event at or before `limit` —
+    /// or, with a `budget`, at most that many, one per window. A harness
+    /// closure at the head runs alone on the coordinator; anything else
+    /// opens a window (see [`World::window`]). With an oracle installed
+    /// every window is a one-event window on the oracle's pick. Returns
+    /// whether anything was dispatched.
+    fn windows(&mut self, limit: SimTime, mut budget: Option<u64>) -> bool {
+        let mut dispatched = false;
+        while budget != Some(0) {
+            let Some((src, head, key)) = self.peek_min().filter(|&(_, t, _)| t <= limit) else {
+                break;
+            };
+            let first = self
+                .oracle
+                .is_some()
+                .then(|| self.pop_with_oracle())
+                .flatten();
+            match first {
+                Some((at, key, ev @ Event::Harness(_))) => self.dispatch_harness(at, key, ev),
+                None if src == usize::MAX => {
+                    let (at, ev) = self.harness_q.pop().expect("peeked");
+                    self.dispatch_harness(at, key, ev);
+                }
+                // Oracles drive one-lane worlds: their pick runs on lane 0.
+                Some(first) => self.window(0, head, limit, true, Some(first)),
+                None => self.window(src, head, limit, budget.is_some(), None),
+            }
+            budget = budget.map(|b| b - 1);
+            dispatched = true;
+        }
+        dispatched
+    }
+
+    /// Run one harness closure on the coordinator. Harness closures close
+    /// over `&mut World`, so they dispatch alone, between windows.
+    fn dispatch_harness(&mut self, at: SimTime, key: u64, ev: Event) {
         debug_assert!(at >= self.now, "event queue went backwards");
+        self.sample_metrics_at(at);
         self.note_pop();
         self.now = at;
-        self.sample_metrics_at(at, false);
-        self.dispatch_coordinator(at, key, ev);
-        true
-    }
-
-    /// Dispatch every event of the next pending instant — the same-time
-    /// batch the kernel would pop one by one — as one run, popping newly
-    /// scheduled same-instant events too. One pop-order check and one
-    /// metrics probe cover the whole instant; dispatch order (and so
-    /// every observable) is identical to per-event stepping. Returns
-    /// `false` if the queues are empty.
-    pub fn step_instant(&mut self) -> bool {
-        if self.oracle.is_some() {
-            // Oracles reorder within an instant; defer to per-event steps.
-            return self.step();
-        }
-        if !self.step() {
-            return false;
-        }
-        let at = self.now;
-        while self.peek_time() == Some(at) {
-            let (_, key, ev) = self.pop_min().expect("head peeked at `at`");
-            self.note_pop();
-            self.dispatch_coordinator(at, key, ev);
-        }
-        true
-    }
-
-    /// Dispatch one popped event inline: synchronizer bookkeeping, the
-    /// handler itself (on its owning lane, or `self` for harness
-    /// closures), then the barrier work a one-event window needs — stats,
-    /// happens-before records, trace absorption, outbox, metrics.
-    fn dispatch_coordinator(&mut self, at: SimTime, key: u64, ev: Event) {
-        let is_harness = matches!(ev, Event::Harness(_));
-        let li = if is_harness {
-            0
-        } else {
-            self.shared.lane_of(ev.machine().unwrap_or(MachineId(0)))
-        };
         if let Some(syn) = self.syn.as_mut() {
             if at >= syn.window_end() {
-                let end = at + self.shared.cost.lookahead();
-                syn.open_window(at, end);
+                syn.open_window(at, at + self.shared.cost.lookahead());
             }
-            syn.note_dispatch(li);
+            syn.note_dispatches(0, 1);
         }
-        let hb_info = self.hb_trace.then(|| self.lanes[li].event_info(&ev));
-        match ev {
-            Event::Harness(f) => {
-                self.harness_keys.begin_dispatch();
-                let did = (self.harness_keys.origin(), self.harness_keys.dispatch_idx());
-                if let Some(info) = hb_info {
-                    self.emit_hb(key, 0, did, &info);
-                }
-                f(self);
+        self.harness_keys.begin_dispatch();
+        if self.hb_trace {
+            let did = (self.harness_keys.origin(), self.harness_keys.dispatch_idx());
+            self.emit_hb(key, 0, did, &self.lanes[0].event_info(&ev));
+        }
+        let Event::Harness(f) = ev else {
+            unreachable!("the harness queue holds harness closures only")
+        };
+        f(self);
+    }
+
+    /// Open the window `[head, end)` and dispatch it. `end` is `head +
+    /// lookahead` on a multi-lane world and just past `limit` on a
+    /// one-lane world (which has no cross-lane edges to wait for), either
+    /// way clamped at the run limit, the next harness event and the next
+    /// metrics sample point. A `one`-event window dispatches only the
+    /// head event — `first` when the caller already popped it — on
+    /// `head_lane`.
+    fn window(
+        &mut self,
+        head_lane: usize,
+        head: SimTime,
+        limit: SimTime,
+        mut one: bool,
+        first: Option<(SimTime, u64, Event)>,
+    ) {
+        // Sample metrics at the window head if due — the clamp below
+        // guarantees that no later event of the window is due.
+        self.sample_metrics_at(head);
+        let past_limit = SimTime(limit.0.saturating_add(1));
+        let mut end = if self.lanes.len() > 1 {
+            (head + self.shared.cost.lookahead()).min(past_limit)
+        } else {
+            past_limit
+        };
+        if let Some((ht, _)) = self.harness_q.peek_key() {
+            end = end.min(ht);
+        }
+        if let Some(m) = self.metrics.as_ref() {
+            end = end.min(m.next_at);
+        }
+        if end == head {
+            // A harness closure is due at `head` itself, behind the head
+            // event's (origin-0) key: only the head event fits before it.
+            one = true;
+            end = head + Duration::from_micros(1);
+        }
+        if let Some(syn) = self.syn.as_mut() {
+            syn.open_window(head, end);
+        }
+        let with_work: Vec<usize>;
+        let active = if one {
+            std::slice::from_ref(&head_lane)
+        } else {
+            with_work = (0..self.lanes.len())
+                .filter(|&i| self.lanes[i].queue.peek_time().is_some_and(|t| t < end))
+                .collect();
+            &with_work
+        };
+        if active.len() == 1 && !self.hb_trace {
+            let budget = if one { 1 } else { SOLO_WINDOW_EVENTS };
+            self.solo_window(active[0], head, end, budget, first);
+        } else {
+            self.logged_window(active, head, end, if one { 1 } else { u64::MAX });
+        }
+    }
+
+    /// Dispatch a window in which only lane `li` has work, inline and
+    /// without a dispatch log: its dispatches are the global order, so
+    /// the world folds the lane's counts into the queue-stats mirror (see
+    /// [`WindowRun`](crate::lane::WindowRun)) and absorbs its staged
+    /// trace, outbox and metrics once.
+    fn solo_window(
+        &mut self,
+        li: usize,
+        head: SimTime,
+        end: SimTime,
+        budget: u64,
+        first: Option<(SimTime, u64, Event)>,
+    ) {
+        let shared = self.shared.clone();
+        let run = self.lanes[li]
+            .run_window(&shared, end, budget, false, first)
+            .unwrap_or_else(|p| lane_panic(li, head, end, p));
+        debug_assert!(run.last >= self.now, "window went backwards");
+        let depth = self.stats.depth as i64;
+        self.stats.dispatched += run.events;
+        self.stats.scheduled += run.pushes;
+        self.stats.depth = (depth + run.pushes as i64 - run.events as i64) as usize;
+        self.stats.peak_depth = self.stats.peak_depth.max((depth + run.max_prefix) as usize);
+        self.now = run.last;
+        if let Some(syn) = self.syn.as_mut() {
+            syn.note_dispatches(li, run.events);
+        }
+        self.trace.absorb(&mut self.lanes[li].trace);
+        self.drain_outbox(li);
+        self.merge_lane_metrics(li);
+    }
+
+    /// Dispatch a window whose lanes log every dispatch — inline in lane
+    /// order at `threads = 1`, on the worker pool otherwise — then replay
+    /// the merged logs against the world-side observers in canonical
+    /// `(time, key)` order.
+    fn logged_window(&mut self, active: &[usize], head: SimTime, end: SimTime, budget: u64) {
+        let shared = self.shared.clone();
+        if self.threads > 1 && active.len() > 1 {
+            self.run_on_pool(active, head, end);
+        } else {
+            for &li in active {
+                self.lanes[li]
+                    .run_window(&shared, end, budget, true, None)
+                    .unwrap_or_else(|p| lane_panic(li, head, end, p));
             }
-            ev => {
-                let shared = self.shared.clone();
-                let lane = &mut self.lanes[li];
-                let did = lane.dispatch_one(&shared, at, ev);
-                let pushed = lane.pushed;
-                self.note_pushes(pushed);
-                if let Some(info) = hb_info {
-                    self.emit_hb(key, li, did, &info);
-                }
-                self.trace.absorb(&mut self.lanes[li].trace);
-                self.drain_outbox(li);
-                self.merge_lane_metrics(li);
+        }
+        // Replay the merged logs against the world-side observers in
+        // canonical order — this is where byte-identity is restored.
+        let mut logs: Vec<(usize, Vec<DispatchRecord>)> = active
+            .iter()
+            .map(|&li| (li, std::mem::take(&mut self.lanes[li].log)))
+            .collect();
+        let order = {
+            let slices: Vec<&[DispatchRecord]> = logs.iter().map(|(_, l)| l.as_slice()).collect();
+            merge_dispatch_logs(&slices, |r| (r.at, DispatchKey(r.key)))
+        };
+        for (si, pos) in order {
+            let li = logs[si].0;
+            let rec = &mut logs[si].1[pos];
+            debug_assert!(rec.at >= self.now, "merged log went backwards");
+            self.note_pop();
+            self.now = rec.at;
+            if let Some(syn) = self.syn.as_mut() {
+                syn.note_dispatches(li, 1);
             }
+            if let Some((did, info)) = rec.hb.take() {
+                self.emit_hb(rec.key, li, did, &info);
+            }
+            self.trace.absorb_events(std::mem::take(&mut rec.traces));
+            self.note_pushes(rec.pushes);
+        }
+        // Cross-lane traffic becomes visible at the barrier — always at
+        // least `lookahead` past the window, so never late.
+        for &li in active {
+            self.drain_outbox(li);
+            self.merge_lane_metrics(li);
+        }
+    }
+
+    /// Run the `active` lanes' shares of the window `[head, end)` on the
+    /// worker pool, then re-raise the first lane panic, if any, once every
+    /// lane is back.
+    fn run_on_pool(&mut self, active: &[usize], head: SimTime, end: SimTime) {
+        let workers = self.threads.min(self.lanes.len());
+        let shared = &self.shared;
+        let pool = self.pool.get_or_insert_with(|| Pool::new(workers, shared));
+        for &li in active {
+            let lane = std::mem::replace(&mut self.lanes[li], Lane::placeholder());
+            pool.txs[li % workers]
+                .send((li, lane, end))
+                .expect("lane worker alive");
+        }
+        let mut panicked = None;
+        for _ in 0..active.len() {
+            let (idx, lane, payload) = pool.rx.recv().expect("lane worker alive");
+            self.lanes[idx] = lane;
+            if let Some(p) = payload {
+                panicked.get_or_insert((idx, p));
+            }
+        }
+        if let Some((idx, p)) = panicked {
+            lane_panic(idx, head, end, p);
         }
     }
 
@@ -1333,14 +1490,11 @@ impl World {
     /// records, so they land in dispatch order.
     fn emit_hb(&mut self, key: u64, lane: usize, did: (u64, u64), info: &EventInfo) {
         let Some(syn) = self.syn.as_ref() else { return };
-        if syn.windows() != self.hb_last_window {
-            self.hb_last_window = syn.windows();
-            let detail = format!(
-                "w{} end={}us la={}us",
-                syn.windows(),
-                syn.window_end().as_micros(),
-                self.shared.cost.lookahead().as_micros()
-            );
+        let (w, end) = (syn.windows(), syn.window_end());
+        if w != self.hb_last_window {
+            self.hb_last_window = w;
+            let la = self.shared.cost.lookahead();
+            let detail = format!("w{w} end={}us la={}us", end.as_micros(), la.as_micros());
             self.trace.record(self.now, "shard.window", detail);
         }
         let k = DispatchKey(key);
@@ -1350,7 +1504,6 @@ impl World {
             format!("{}/{}", k.origin(), k.dispatch_idx())
         };
         let dash = || "-".to_string();
-        let w = self.syn.as_ref().expect("checked above").windows();
         let detail = format!(
             "ev={} did={}/{} lane={} w={} cause={} k={:?} p={} o={} m={}",
             k,
@@ -1367,15 +1520,23 @@ impl World {
         self.trace.record(self.now, "shard.ev", detail);
     }
 
-    /// Oracle-guided pop: drain the earliest equal-time batch, let the
-    /// installed [`WorldOracle`] pick one entry, and put the rest back with
-    /// their original keys (in ascending order, which keeps both queue
-    /// backends bit-identical — see [`EventQueue::requeue`]). Singleton
-    /// batches never consult the oracle, so guidance only costs anything
-    /// where a real scheduling choice exists.
+    /// Oracle-guided pop: drain the earliest equal-time batch from the
+    /// heads of lane 0 and the harness queue, let the installed
+    /// [`WorldOracle`] pick one entry, and put the rest back with their
+    /// original keys (in ascending order, which keeps both queue backends
+    /// bit-identical — see [`EventQueue::requeue`]). Singleton batches
+    /// never consult the oracle, so guidance only costs anything where a
+    /// real scheduling choice exists.
     fn pop_with_oracle(&mut self) -> Option<(SimTime, u64, Event)> {
         debug_assert_eq!(self.lanes.len(), 1, "oracles require a single lane");
-        let (at, mut batch) = self.lanes[0].queue.pop_front_batch()?;
+        let (_, at, _) = self.peek_min()?;
+        let mut batch = Vec::new();
+        for q in [&mut self.harness_q, &mut self.lanes[0].queue] {
+            if q.peek_time() == Some(at) {
+                batch.extend(q.pop_front_batch().expect("peeked").1);
+            }
+        }
+        batch.sort_unstable_by_key(|&(k, _)| k);
         if batch.len() == 1 {
             let (key, ev) = batch.pop().expect("len checked");
             return Some((at, key, ev));
@@ -1396,207 +1557,14 @@ impl World {
         let (key, chosen) = batch.swap_remove(idx);
         batch.sort_unstable_by_key(|&(k, _)| k);
         for (k, ev) in batch {
-            self.lanes[0].queue.requeue(at, k, ev);
+            let q = if matches!(ev, Event::Harness(_)) {
+                &mut self.harness_q
+            } else {
+                &mut self.lanes[0].queue
+            };
+            q.requeue(at, k, ev);
         }
         Some((at, key, chosen))
-    }
-
-    /// Run until virtual time reaches `t` (events at exactly `t` included).
-    pub fn run_until(&mut self, t: SimTime) {
-        if self.threaded_ok() {
-            self.run_threaded(t);
-        } else {
-            while let Some(next) = self.peek_time() {
-                if next > t {
-                    break;
-                }
-                self.step_instant();
-            }
-        }
-        if self.now < t {
-            self.now = t;
-        }
-    }
-
-    /// Run for a span of virtual time.
-    pub fn run_for(&mut self, d: Duration) {
-        let t = self.now + d;
-        self.run_until(t);
-    }
-
-    /// Run until the queue drains (only terminates for worlds without
-    /// self-rearming timers) or `limit` is reached.
-    pub fn run_until_idle(&mut self, limit: SimTime) {
-        if self.threaded_ok() {
-            self.run_threaded(limit);
-            return;
-        }
-        while let Some(next) = self.peek_time() {
-            if next > limit {
-                break;
-            }
-            self.step_instant();
-        }
-    }
-
-    /// Run until `pred(world)` holds, checking after every event, up to
-    /// `limit`. Returns `true` if the predicate was satisfied. Always
-    /// coordinator-dispatched: the predicate must observe every state the
-    /// kernel exposes, including mid-window ones.
-    pub fn run_until_pred(&mut self, limit: SimTime, pred: impl Fn(&World) -> bool) -> bool {
-        if pred(self) {
-            return true;
-        }
-        while let Some(next) = self.peek_time() {
-            if next > limit {
-                break;
-            }
-            self.step();
-            if pred(self) {
-                return true;
-            }
-        }
-        false
-    }
-
-    // ------------------------------------------------------------------
-    // Run loop: threaded windows
-    // ------------------------------------------------------------------
-
-    /// Whether windowed multi-thread dispatch is engaged: needs a thread
-    /// budget, multiple lanes, no oracle, and a cost model whose
-    /// cross-machine latencies actually clear the conservative window
-    /// floor (`rsh_connect` bounds the first cross-lane `RshAdvance` hop;
-    /// every other cross-lane push carries at least `lan_latency`).
-    fn threaded_ok(&self) -> bool {
-        self.threads > 1
-            && self.lanes.len() > 1
-            && self.oracle.is_none()
-            && self.shared.cost.lan_latency >= Duration::from_micros(1)
-            && self.shared.cost.rsh_connect >= self.shared.cost.lookahead()
-    }
-
-    fn ensure_pool(&mut self) {
-        if self.pool.is_none() {
-            let workers = self.threads.min(self.lanes.len()).max(1);
-            self.pool = Some(Pool::new(workers));
-        }
-    }
-
-    /// The windowed multi-thread loop: per window, farm every lane with
-    /// pending work out to the pool, then replay the merged dispatch logs
-    /// in canonical `(time, key)` order against the world-side observers.
-    /// Harness events dispatch solo between windows (they close over
-    /// `&mut World`). Windows are clamped at the run limit, the next
-    /// harness event, and the next metrics sample point.
-    fn run_threaded(&mut self, limit: SimTime) {
-        self.ensure_pool();
-        while let Some((src, head, _)) = self.peek_min() {
-            if head > limit {
-                break;
-            }
-            if src == usize::MAX {
-                // Harness events run solo on the coordinator. Origin-0
-                // keys sort first at equal times, so no lane event is due
-                // before it.
-                let (at, key, ev) = {
-                    let (t, k) = self.harness_q.peek_key().expect("peeked");
-                    debug_assert_eq!(t, head);
-                    let (at, ev) = self.harness_q.pop().expect("peeked");
-                    (at, k, ev)
-                };
-                debug_assert!(at >= self.now);
-                self.note_pop();
-                self.now = at;
-                self.sample_metrics_at(at, false);
-                self.dispatch_coordinator(at, key, ev);
-                continue;
-            }
-            // Sample metrics at the window head if due — the clamp below
-            // guarantees serial execution would have sampled at exactly
-            // this event too.
-            self.sample_metrics_at(head, true);
-            // Window end: lookahead-bounded, clamped at the limit, the
-            // next harness event, and the next metrics sample point.
-            let mut end = head + self.shared.cost.lookahead();
-            end = end.min(SimTime(limit.0.saturating_add(1)));
-            if let Some((ht, _)) = self.harness_q.peek_key() {
-                end = end.min(ht);
-            }
-            if let Some(m) = self.metrics.as_ref() {
-                end = end.min(m.next_at);
-            }
-            debug_assert!(end > head, "degenerate window");
-            self.syn
-                .as_mut()
-                .expect("threaded implies sharded")
-                .open_window(head, end);
-            // Ship active lanes to the pool (inline when only one has
-            // work — no channel round-trip for lopsided windows).
-            let active: Vec<usize> = (0..self.lanes.len())
-                .filter(|&i| self.lanes[i].queue.peek_time().is_some_and(|t| t < end))
-                .collect();
-            let shared = self.shared.clone();
-            if active.len() == 1 {
-                let li = active[0];
-                self.lanes[li].run_window(&shared, end);
-            } else {
-                let pool = self.pool.as_ref().expect("ensured above");
-                let workers = pool.txs.len();
-                for &li in &active {
-                    let lane = std::mem::replace(&mut self.lanes[li], Lane::placeholder());
-                    pool.txs[li % workers]
-                        .send(Job {
-                            lane,
-                            idx: li,
-                            end,
-                            shared: shared.clone(),
-                        })
-                        .expect("lane worker alive");
-                }
-                for _ in 0..active.len() {
-                    let (idx, lane) = pool.rx.recv().expect("lane worker alive");
-                    self.lanes[idx] = lane;
-                }
-            }
-            // Replay the merged logs against the world-side observers in
-            // canonical order — this is where byte-identity is restored.
-            let mut logs: Vec<(usize, Vec<DispatchRecord>)> = active
-                .iter()
-                .map(|&li| (li, std::mem::take(&mut self.lanes[li].log)))
-                .collect();
-            let order = {
-                let slices: Vec<&[DispatchRecord]> =
-                    logs.iter().map(|(_, l)| l.as_slice()).collect();
-                merge_dispatch_logs(&slices, |r| (r.at, DispatchKey(r.key)))
-            };
-            for (si, pos) in order {
-                let li = logs[si].0;
-                let rec = &mut logs[si].1[pos];
-                debug_assert!(rec.at >= self.now, "merged log went backwards");
-                self.note_pop();
-                self.now = rec.at;
-                self.syn.as_mut().expect("sharded").note_dispatch(li);
-                if let Some(hb) = rec.hb.take() {
-                    let info = EventInfo {
-                        kind: hb.kind,
-                        proc: hb.proc,
-                        other: hb.other,
-                        machine: hb.machine,
-                        payload_hash: 0,
-                    };
-                    self.emit_hb(rec.key, li, hb.did, &info);
-                }
-                self.trace.absorb_events(std::mem::take(&mut rec.traces));
-                self.note_pushes(rec.pushes);
-            }
-            // Cross-lane traffic becomes visible at the barrier — always
-            // at least `lookahead` past the window, so never late.
-            for &li in &active {
-                self.drain_outbox(li);
-                self.merge_lane_metrics(li);
-            }
-        }
     }
 }
 

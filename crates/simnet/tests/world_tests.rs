@@ -349,3 +349,92 @@ fn zero_cost_model_runs_logic_instantly() {
     assert!(result.lock().unwrap().clone().unwrap().1.is_ok());
     assert_eq!(world.now(), SimTime::ZERO);
 }
+
+/// Records when its one timer fires, into a log it shares with a harness
+/// closure scheduled for the same instant.
+struct TimerAt {
+    at: Duration,
+    log: std::sync::Arc<std::sync::Mutex<Vec<&'static str>>>,
+}
+
+impl Behavior for TimerAt {
+    fn name(&self) -> &'static str {
+        "timer-at"
+    }
+
+    fn on_start(&mut self, ctx: &mut Ctx<'_>) {
+        ctx.set_timer(self.at);
+    }
+
+    fn on_timer(&mut self, ctx: &mut Ctx<'_>, _: rb_proto::TimerToken) {
+        self.log.lock().unwrap().push("timer");
+        ctx.exit(ExitStatus::Success);
+    }
+}
+
+/// An oracle that always picks the same index of every tie batch.
+struct Pick(usize);
+
+impl rb_simnet::WorldOracle for Pick {
+    fn choose(&mut self, _: SimTime, _: u64, _: &[rb_simnet::EventInfo]) -> usize {
+        self.0
+    }
+}
+
+#[test]
+fn oracle_batches_include_harness_closures() {
+    // A harness closure and a lane timer at the same instant form one
+    // tie batch, in key order: the harness's origin-0 key sorts first.
+    let run = |oracle: Option<usize>| {
+        let (mut world, ms) = lab(1);
+        let log = std::sync::Arc::new(std::sync::Mutex::new(Vec::new()));
+        let at = Duration::from_millis(10);
+        let timer = TimerAt {
+            at,
+            log: log.clone(),
+        };
+        world.spawn_user(ms[0], Box::new(timer), ProcEnv::user_standard("u"));
+        let harness_log = log.clone();
+        world.schedule(SimTime::ZERO + at, move |_| {
+            harness_log.lock().unwrap().push("harness");
+        });
+        if let Some(idx) = oracle {
+            world.set_schedule_oracle(Box::new(Pick(idx)));
+        }
+        world.run_until_idle(FAR);
+        let order = log.lock().unwrap().clone();
+        order
+    };
+    assert_eq!(run(None), ["harness", "timer"]);
+    assert_eq!(
+        run(Some(0)),
+        ["harness", "timer"],
+        "index 0 keeps key order"
+    );
+    assert_eq!(
+        run(Some(1)),
+        ["timer", "harness"],
+        "index 1 runs the timer first"
+    );
+}
+
+#[test]
+fn harness_closure_waits_behind_an_equal_time_harness_push() {
+    // `spawn_user` pushes the start under an origin-0 key drawn before
+    // the closure's, at the same instant: the start (and NullProg's exit)
+    // runs first, then the closure — on one lane and on several.
+    for shards in [1, 2] {
+        let mut b = WorldBuilder::new().seed(7).shards(shards).threads(2);
+        let ms = b.standard_lab(2);
+        let mut world = b.build();
+        let p = world.spawn_user(ms[1], Box::new(NullProg), ProcEnv::user_standard("u"));
+        let seen = std::sync::Arc::new(std::sync::Mutex::new(None));
+        let seen_by_closure = seen.clone();
+        world.schedule(world.now(), move |w| {
+            *seen_by_closure.lock().unwrap() = Some(w.alive(p));
+        });
+        world.run_until(SimTime(1_000));
+        assert_eq!(*seen.lock().unwrap(), Some(false), "shards={shards}");
+        assert_eq!(world.exit_status(p), Some(ExitStatus::Success));
+    }
+}

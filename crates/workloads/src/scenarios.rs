@@ -55,7 +55,7 @@ pub fn broker_testbed_sharded(
 }
 
 /// [`broker_testbed_sharded`] with worker threads dispatching the lanes
-/// in true parallel (threads = 1 keeps the coordinator inline; every
+/// in true parallel (threads = 1 runs each window's lanes inline; every
 /// combination replays bit-identically — the threaded-equivalence tests
 /// sweep this).
 #[allow(clippy::too_many_arguments)]

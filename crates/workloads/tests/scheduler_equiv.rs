@@ -382,3 +382,194 @@ fn sharded_kernel_reports_synchronizer_stats() {
     assert!(serial.world.shard_stats().is_none());
     assert_eq!(serial.world.shard_count(), 1);
 }
+
+/// Drive `world` to `limit` by repeated [`World::step`] calls, then let
+/// `run_until` move the clock the rest of the way (it must dispatch
+/// nothing more).
+fn step_until(world: &mut rb_simnet::World, limit: SimTime) {
+    while world.pending_event_infos().iter().any(|&(t, _)| t <= limit) {
+        assert!(world.step(), "pending events but nothing dispatched");
+    }
+    let before = world.kernel_stats();
+    world.run_until(limit);
+    assert_eq!(
+        world.kernel_stats(),
+        before,
+        "run_until dispatched past the steps"
+    );
+}
+
+/// Trace, clock and work counters of a world, for byte comparisons.
+fn observe(world: &rb_simnet::World) -> (String, u64, rb_simcore::QueueStats) {
+    (
+        world.trace().render(),
+        world.now().as_micros(),
+        world.kernel_stats(),
+    )
+}
+
+/// One-event windows (`step`) are the reference the other windows are
+/// checked against: driving the calypso testbed and the Table 2
+/// reallocation scenario by repeated `step()` reproduces one
+/// `run_until(limit)` byte for byte — trace, clock and every
+/// `QueueStats` counter, `peak_depth` included — at every shard and
+/// thread count.
+#[test]
+fn step_by_step_replays_run_until_byte_identically() {
+    use rb_broker::{JobRequest, JobRun};
+    use rb_proto::CommandSpec;
+    // Calypso testbed: 4 workers' worth of traffic; realloc: the Table 2
+    // shape, where `rsh' anylinux` makes the broker clear a machine.
+    fn calypso(shards: usize, threads: usize) -> (rb_broker::Cluster, SimTime) {
+        let mut c = broker_testbed_threaded(
+            4,
+            42,
+            Box::new(DefaultPolicy::default()),
+            true,
+            QueueKind::Heap,
+            shards,
+            threads,
+        );
+        submit_endless_calypso(&mut c, 4, 500);
+        let limit = SimTime(c.world.now().as_micros() + 30_000_000);
+        (c, limit)
+    }
+    fn realloc(shards: usize, threads: usize) -> (rb_broker::Cluster, SimTime) {
+        let mut c = broker_testbed_threaded(
+            2,
+            2024,
+            Box::new(DefaultPolicy::default()),
+            true,
+            QueueKind::Heap,
+            shards,
+            threads,
+        );
+        submit_endless_calypso(&mut c, 2, 800);
+        let limit = SimTime(c.world.now().as_micros() + 60_000_000);
+        await_calypso_workers(&mut c, 2, limit);
+        c.submit(
+            c.machines[0],
+            JobRequest {
+                rsl: "(adaptive=0)".into(),
+                user: "user".into(),
+                run: JobRun::Remote {
+                    host: "anylinux".into(),
+                    cmd: CommandSpec::Null,
+                },
+            },
+        );
+        let limit = SimTime(c.world.now().as_micros() + 20_000_000);
+        (c, limit)
+    }
+    type Scenario = fn(usize, usize) -> (rb_broker::Cluster, SimTime);
+    for (name, scenario) in [("calypso", calypso as Scenario), ("realloc", realloc)] {
+        for shards in [1usize, 2, 4] {
+            for threads in [1usize, 4] {
+                let (mut run, limit) = scenario(shards, threads);
+                run.world.run_until(limit);
+                let (mut stepped, step_limit) = scenario(shards, threads);
+                assert_eq!(limit, step_limit);
+                step_until(&mut stepped.world, limit);
+                let (run_trace, run_now, run_stats) = observe(&run.world);
+                assert!(
+                    run_trace.lines().count() > 100,
+                    "{name}: scenario too quiet"
+                );
+                let (step_trace, step_now, step_stats) = observe(&stepped.world);
+                let at = format!("{name} shards={shards} threads={threads}");
+                assert_eq!(step_trace, run_trace, "{at}: traces diverged");
+                assert_eq!(step_now, run_now, "{at}: clocks diverged");
+                assert_eq!(step_stats, run_stats, "{at}: queue stats diverged");
+            }
+        }
+    }
+}
+
+/// 64-bit FNV-1a: a hash whose value is fixed by its definition, for
+/// pinning trace bytes across commits.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// A golden pin on the serial calypso scenario (heap backend, seed 42):
+/// the rendered trace's hash, the final clock and the `QueueStats`
+/// counters. Every cross-mode test compares two runs of the current
+/// kernel, so a drift every mode shares would pass them all; this one
+/// compares against values recorded before the kernel's run loops were
+/// folded into one.
+#[test]
+fn serial_calypso_run_matches_golden_pin() {
+    let (trace, now, stats) = run_scenario_sharded(QueueKind::Heap, 42, true, 1);
+    assert_eq!(trace.lines().count(), 164, "trace length drifted");
+    assert_eq!(
+        fnv1a(trace.as_bytes()),
+        0xb494_6e40_5964_76e7,
+        "trace drifted"
+    );
+    assert_eq!(now, 61_000_000, "clock drifted");
+    let pinned = rb_simcore::QueueStats {
+        scheduled: 1861,
+        dispatched: 1851,
+        peak_depth: 26,
+        depth: 10,
+    };
+    assert_eq!(stats, pinned, "queue stats drifted");
+}
+
+/// A behavior whose panic must fail the run rather than hang it: on
+/// worker threads the panicking lane's worker would otherwise never
+/// report back to the window barrier.
+#[test]
+fn worker_panic_fails_the_run_naming_lane_and_window() {
+    use rb_simcore::Duration;
+    use rb_simnet::{Behavior, Ctx, ProcEnv, WorldBuilder};
+    /// Ticks every millisecond; the one on `n02` panics at tick 50.
+    struct Ticker {
+        doomed: bool,
+        ticks: u32,
+    }
+    impl Behavior for Ticker {
+        fn name(&self) -> &'static str {
+            "ticker"
+        }
+        fn on_start(&mut self, ctx: &mut Ctx<'_>) {
+            ctx.set_timer(Duration::from_millis(1));
+        }
+        fn on_timer(&mut self, ctx: &mut Ctx<'_>, _: rb_proto::TimerToken) {
+            self.ticks += 1;
+            assert!(!(self.doomed && self.ticks == 50), "tick 50 boom");
+            ctx.set_timer(Duration::from_millis(1));
+        }
+    }
+    let (tx, rx) = std::sync::mpsc::channel();
+    let helper = std::thread::spawn(move || {
+        let outcome = std::panic::catch_unwind(|| {
+            let mut b = WorldBuilder::new().seed(3).shards(4).threads(4);
+            let machines = b.standard_lab(4);
+            let mut w = b.build();
+            for (i, &m) in machines.iter().enumerate() {
+                let ticker = Ticker {
+                    doomed: i == 2,
+                    ticks: 0,
+                };
+                w.spawn_user(m, Box::new(ticker), ProcEnv::user_standard("u"));
+            }
+            w.run_until(SimTime(1_000_000));
+        });
+        let _ = tx.send(outcome.map_err(|p| {
+            p.downcast_ref::<String>()
+                .cloned()
+                .or_else(|| p.downcast_ref::<&str>().map(|s| s.to_string()))
+                .unwrap_or_default()
+        }));
+    });
+    let outcome = rx
+        .recv_timeout(std::time::Duration::from_secs(30))
+        .expect("the run hung after a lane worker panicked");
+    helper.join().expect("the helper caught the run's panic");
+    let msg = outcome.expect_err("a panicking behavior must fail the run");
+    assert!(msg.contains("lane 2 panicked in window ["), "{msg}");
+    assert!(msg.contains("tick 50 boom"), "{msg}");
+}
