@@ -7,8 +7,9 @@
 //! Scans the workspace source (`crates/*/src` plus the root `src/`),
 //! diffs every bound behavior file against its declared `ProtocolSpec`s,
 //! runs the domain lints (std-hash-in-hot-path, wallclock-in-sim,
-//! thread-in-sim, println-in-lib), checks allowlist staleness, and
-//! reports untimed wait-for cycles in the declared protocol graph.
+//! thread-in-sim, println-in-lib, shared-state-in-behavior), checks
+//! allowlist staleness, and reports untimed wait-for cycles in the
+//! declared protocol graph.
 //! Exit status is 0 when the tree is clean, 1 on findings, 2 on usage or
 //! I/O errors — the convention shared by `rblint`, `rbmodel`, and
 //! `rbtrace`.
@@ -21,6 +22,8 @@ use rb_simcore::Json;
 use std::process::ExitCode;
 
 const USAGE: &str = "usage: rbcheck [options]
+  source conformance, domain lints (std-hash-in-hot-path, wallclock-in-sim,
+  thread-in-sim, println-in-lib, shared-state-in-behavior), wait-for cycles
   --root <dir>     workspace root to scan (default: auto-detected)
   --allow-missing  skip bound behavior files absent under the root
                    (for seeded fixture trees containing only the files

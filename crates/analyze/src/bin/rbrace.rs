@@ -1,32 +1,25 @@
-//! `rbrace` — parallel-safety analyzer for the sharded kernel.
+//! `rbrace` — happens-before race checker for the sharded kernel.
 //!
 //! ```text
-//! rbrace static [--root <dir>] [--format text|json]
 //! rbrace hb <trace-file> [--strict] [--format text|json]
 //! ```
 //!
-//! Two cross-checking halves. `rbrace static` classifies every behavior
-//! field in the broker/parsys/simnet sources into an ownership class
-//! (machine-local / shard-local / cross-shard-shared), flags aliasing
-//! hazards and nondeterminism, and ranks behaviors by the cost of making
-//! them `Send`-ready. `rbrace hb` replays a trace recorded with
-//! `WorldBuilder::hb_trace(true)` through a vector-clock happens-before
-//! checker and reports same-window dispatches whose footprints conflict
-//! without an ordering edge — the races a wall-parallel build would hit.
-//! Exit status is 0 when clean, 1 on findings, 2 on usage or I/O errors —
-//! the convention shared by `rblint`, `rbcheck`, `rbmodel`, `rbtrace`.
+//! `rbrace hb` replays a trace recorded with `WorldBuilder::hb_trace(true)`
+//! through a vector-clock happens-before checker and reports same-window
+//! dispatches whose footprints conflict without an ordering edge — the
+//! races a wall-parallel build would hit. The static guard against shared
+//! mutable state in behaviors is `rbcheck`'s `shared-state-in-behavior`
+//! lint (DESIGN.md §13). Exit status is 0 when clean, 1 on findings, 2 on
+//! usage or I/O errors — the convention shared by `rblint`, `rbcheck`,
+//! `rbmodel`, `rbtrace`.
 
 mod cli_common;
 
 use cli_common::{emit, read_file, usage_error, Format};
 use rb_analyze::hb::{self, HbConfig};
-use rb_analyze::sendcheck::{self, SendConfig};
 use std::process::ExitCode;
 
 const USAGE: &str = "usage: rbrace <command> [options]
-  rbrace static [--root <dir>] [--format text|json]
-      classify behavior state ownership and Send-readiness
-      --root <dir>   workspace root to scan (default: auto-detected)
   rbrace hb <trace-file> [--strict] [--format text|json]
       vector-clock happens-before race check over a trace recorded
       with WorldBuilder::hb_trace(true)
@@ -38,57 +31,13 @@ const USAGE: &str = "usage: rbrace <command> [options]
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     match args.first().map(|s| s.as_str()) {
-        Some("static") => run_static(&args[1..]),
         Some("hb") => run_hb(&args[1..]),
         Some("--help") | Some("-h") => {
             emit(USAGE);
             ExitCode::SUCCESS
         }
         Some(cmd) => usage_error("rbrace", USAGE, &format!("unknown command {cmd}")),
-        None => usage_error("rbrace", USAGE, "expected a command (static | hb)"),
-    }
-}
-
-fn run_static(args: &[String]) -> ExitCode {
-    let mut root: Option<String> = None;
-    let mut format = Format::Text;
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--root" => match it.next() {
-                Some(dir) => root = Some(dir.clone()),
-                None => return usage_error("rbrace", USAGE, "--root needs a value"),
-            },
-            "--format" => match Format::parse(it.next().map(|s| s.as_str())) {
-                Ok(f) => format = f,
-                Err(e) => return usage_error("rbrace", USAGE, &e),
-            },
-            _ => return usage_error("rbrace", USAGE, &format!("unknown argument {a}")),
-        }
-    }
-    let root = root
-        .map(std::path::PathBuf::from)
-        .unwrap_or_else(rb_analyze::check::workspace_root);
-    if !root.is_dir() {
-        eprintln!("rbrace: {}: not a directory", root.display());
-        return ExitCode::from(2);
-    }
-    let report = match sendcheck::run_sendcheck(&SendConfig::new(root.clone())) {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("rbrace: {e}");
-            return ExitCode::from(2);
-        }
-    };
-    if format.is_json() {
-        emit(&sendcheck::report_json(&report, &root).render());
-    } else {
-        emit(&sendcheck::render_report(&report));
-    }
-    if report.is_clean() {
-        ExitCode::SUCCESS
-    } else {
-        ExitCode::from(1)
+        None => usage_error("rbrace", USAGE, "expected a command (hb)"),
     }
 }
 

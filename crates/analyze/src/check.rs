@@ -20,8 +20,8 @@
 //! matching anything are themselves reported as **stale-allow** so the
 //! allowlist cannot rot.
 //!
-//! On top of conformance, three workspace-wide **domain lints** run over
-//! every crate's `src/`:
+//! On top of conformance, workspace-wide **domain lints** run over every
+//! crate's `src/`:
 //!
 //! - **std-hash-in-hot-path** — `std::collections::HashMap`/`HashSet` in
 //!   a hot-path crate (must use `rb_simcore::FxHashMap`: SipHash costs
@@ -32,7 +32,13 @@
 //!   all concurrency from the event queue (wall-clock reads and real
 //!   threads break determinism and replay);
 //! - **println-in-lib** — `println!`/`eprintln!` outside `bin/`, tests,
-//!   and examples (library code must trace, not print).
+//!   and examples (library code must trace, not print);
+//! - **shared-state-in-behavior** — `Mutex`, `RwLock` or an `Atomic*`
+//!   type in a behavior crate ([`CONFORMANCE_CRATES`]). Lanes run
+//!   behaviors on worker threads, so such state is reachable from more
+//!   than one thread; every use carries a reason in [`LINT_ALLOW`]. The
+//!   compiler already rejects `Rc`/`RefCell` there (`Box<dyn Behavior +
+//!   Send>`), but not this.
 //!
 //! Finally, the static *wait-for cycle* check
 //! ([`crate::graph::untimed_wait_cycles`]) is folded into the findings so
@@ -63,7 +69,8 @@ pub const SIM_CRATES: &[&str] = &[
 ];
 
 /// The behavior crates whose source is diffed against the declared
-/// protocol specs.
+/// protocol specs, and where shared mutable state needs an allowlist
+/// entry.
 pub const CONFORMANCE_CRATES: &[&str] = &["broker", "parsys", "simnet"];
 
 /// One category of `rbcheck` finding.
@@ -92,6 +99,8 @@ pub enum CheckKind {
     ThreadInSim,
     /// `println!` / `eprintln!` in library code.
     PrintlnInLib,
+    /// `Mutex` / `RwLock` / `Atomic*` in a behavior crate.
+    SharedStateInBehavior,
     /// Untimed wait-for cycle in the declared protocol graph.
     UntimedWaitCycle,
 }
@@ -111,6 +120,7 @@ impl CheckKind {
             CheckKind::WallClockInSim => "wallclock-in-sim",
             CheckKind::ThreadInSim => "thread-in-sim",
             CheckKind::PrintlnInLib => "println-in-lib",
+            CheckKind::SharedStateInBehavior => "shared-state-in-behavior",
             CheckKind::UntimedWaitCycle => "untimed-wait-cycle",
         }
     }
@@ -307,6 +317,27 @@ pub const LINT_ALLOW: &[LintAllow] = &[
               statistics, never SimTime (purity pinned by \
               scheduler_equiv::profiling_is_a_pure_observer)",
     },
+    LintAllow {
+        file: "crates/broker/src/tools.rs",
+        kind: CheckKind::SharedStateInBehavior,
+        why: "RbStat.sink: rbstat's StatusSink is an Arc<Mutex<..>> mailbox the \
+              harness hands to one proc, which deposits into it from its lane; \
+              the harness reads it only after the proc exits, so no two threads \
+              contend on it mid-window",
+    },
+    LintAllow {
+        file: "crates/simnet/src/lane.rs",
+        kind: CheckKind::SharedStateInBehavior,
+        why: "SharedCore.up: the AtomicBool liveness mirror a lane reads for a \
+              machine it does not own (standard rsh's reachability check); only \
+              the coordinator writes it, between windows, so Relaxed suffices",
+    },
+    LintAllow {
+        file: "crates/simnet/src/world.rs",
+        kind: CheckKind::SharedStateInBehavior,
+        why: "builds and writes the SharedCore.up AtomicBool mirror from the \
+              coordinator (set_machine_up), never from a lane",
+    },
 ];
 
 /// Configuration for one `rbcheck` run.
@@ -451,6 +482,9 @@ fn lints_for(rel: &str) -> Vec<CheckKind> {
         kinds.push(CheckKind::WallClockInSim);
         kinds.push(CheckKind::ThreadInSim);
     }
+    if CONFORMANCE_CRATES.contains(&crate_name) {
+        kinds.push(CheckKind::SharedStateInBehavior);
+    }
     kinds
 }
 
@@ -460,6 +494,7 @@ fn lint_kind_of(hit: LintHit) -> CheckKind {
         LintHit::WallClock => CheckKind::WallClockInSim,
         LintHit::ThreadSpawn => CheckKind::ThreadInSim,
         LintHit::Println => CheckKind::PrintlnInLib,
+        LintHit::SharedState => CheckKind::SharedStateInBehavior,
     }
 }
 
@@ -485,6 +520,10 @@ pub fn lint_file(rel: &str, facts: &SourceFacts) -> Vec<Finding> {
             LintHit::Println => {
                 "println!/eprintln! in library code — trace instead (stdout belongs to bins)"
             }
+            LintHit::SharedState => {
+                "Mutex/RwLock/Atomic* in a behavior crate — state reachable from more than \
+                 one lane thread needs a LINT_ALLOW entry with its reason"
+            }
         };
         out.push(Finding {
             kind,
@@ -498,7 +537,7 @@ pub fn lint_file(rel: &str, facts: &SourceFacts) -> Vec<Finding> {
 
 /// Recursively collect `.rs` files under `dir`, sorted, skipping `bin/`
 /// directories (CLI mains may print and parse args however they like).
-pub(crate) fn rs_files_under(dir: &Path, out: &mut Vec<PathBuf>) {
+fn rs_files_under(dir: &Path, out: &mut Vec<PathBuf>) {
     let Ok(entries) = std::fs::read_dir(dir) else {
         return;
     };

@@ -39,7 +39,6 @@ pub mod hb;
 pub mod model;
 pub mod obs;
 pub mod rules;
-pub mod sendcheck;
 pub mod srcmodel;
 
 pub use check::{
@@ -56,7 +55,6 @@ pub use obs::{
     utilization, validate_chrome, AllocBreakdown, Utilization,
 };
 pub use rules::{all_rules, lint_events, render_violations, Rule, Violation};
-pub use sendcheck::{run_sendcheck, OwnershipClass, SendConfig, SendReport};
 pub use srcmodel::{scan_source, SourceFacts};
 
 use rb_simcore::TraceRecorder;

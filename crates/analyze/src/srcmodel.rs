@@ -5,7 +5,7 @@
 //! the file sends them) and which it **dispatches on** (pattern position
 //! inside `match` arms, `if let`, or `matches!` — the file handles them),
 //! plus a handful of token-level facts the domain lints key off
-//! (`HashMap`, `Instant::now`, `println!`, ...).
+//! (`HashMap`, `Instant::now`, `println!`, `Mutex`, ...).
 //!
 //! This is deliberately *not* a Rust parser. It is a lexer plus a brace/
 //! match-context tracker: comments, strings, char literals, and lifetimes
@@ -45,6 +45,8 @@ pub enum LintHit {
     ThreadSpawn,
     /// `println!` / `eprintln!` (stdout noise outside bin/tests/examples).
     Println,
+    /// `Mutex`, `RwLock` or an `Atomic*` type (state shared across lanes).
+    SharedState,
 }
 
 /// Everything the scanner extracts from one source file.
@@ -61,7 +63,7 @@ pub struct SourceFacts {
 }
 
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub(crate) enum Tok {
+enum Tok {
     /// An identifier or keyword. Raw identifiers keep their `r#` prefix
     /// (`r#match` lexes as one `Ident("r#match")`) so keyword-driven
     /// state machines never mistake them for the keyword.
@@ -77,7 +79,7 @@ pub(crate) enum Tok {
 /// Lex `src` into tokens with line numbers, skipping whitespace, line and
 /// (nested) block comments, string/char/byte literals, lifetimes, and
 /// numeric literals. Numbers are dropped entirely — no lint keys off them.
-pub(crate) fn lex(src: &str) -> Vec<(Tok, u32)> {
+fn lex(src: &str) -> Vec<(Tok, u32)> {
     let b = src.as_bytes();
     let mut toks = Vec::new();
     let mut i = 0;
@@ -195,60 +197,6 @@ pub(crate) fn lex(src: &str) -> Vec<(Tok, u32)> {
         }
     }
     toks
-}
-
-/// Lex `src`, dropping every `#[cfg(test)]` item (the attribute plus the
-/// following braced body or `;`-terminated item), so structural passes
-/// like sendcheck see only shipped code.
-pub(crate) fn lex_shipped(src: &str) -> Vec<(Tok, u32)> {
-    let toks = lex(src);
-    let mut out: Vec<(Tok, u32)> = Vec::with_capacity(toks.len());
-    let mut progress = 0u8;
-    let mut attr_start = 0usize;
-    let mut skip_to_body = false;
-    let mut skip_depth: Option<usize> = None;
-    for (tok, line) in toks {
-        if let Some(d) = skip_depth {
-            match tok {
-                Tok::Punct('{') => skip_depth = Some(d + 1),
-                Tok::Punct('}') => skip_depth = if d == 1 { None } else { Some(d - 1) },
-                _ => {}
-            }
-            continue;
-        }
-        if skip_to_body {
-            match tok {
-                Tok::Punct('{') => {
-                    skip_to_body = false;
-                    skip_depth = Some(1);
-                }
-                Tok::Punct(';') => skip_to_body = false,
-                _ => {}
-            }
-            continue;
-        }
-        progress = match (progress, &tok) {
-            (1, Tok::Punct('[')) => 2,
-            (2, Tok::Ident(s)) if s == "cfg" => 3,
-            (3, Tok::Punct('(')) => 4,
-            (4, Tok::Ident(s)) if s == "test" => 5,
-            (5, Tok::Punct(')')) => 6,
-            (6, Tok::Punct(']')) => 7,
-            (_, Tok::Punct('#')) => {
-                attr_start = out.len();
-                1
-            }
-            _ => 0,
-        };
-        if progress == 7 {
-            out.truncate(attr_start);
-            skip_to_body = true;
-            progress = 0;
-            continue;
-        }
-        out.push((tok, line));
-    }
-    out
 }
 
 /// Is `b[i..]` the start of a raw string (`r"`, `r#"`), byte string
@@ -524,6 +472,10 @@ pub fn scan_source(src: &str) -> SourceFacts {
                 }
                 "println" | "eprintln" if next == Some(&Tok::Punct('!')) => {
                     facts.lint_hits.push((LintHit::Println, line));
+                }
+                "Mutex" | "RwLock" => facts.lint_hits.push((LintHit::SharedState, line)),
+                n if n.starts_with("Atomic") => {
+                    facts.lint_hits.push((LintHit::SharedState, line));
                 }
                 _ => {}
             }

@@ -11,11 +11,13 @@
 //! - std HashMap in a hot-path crate (std-hash-in-hot-path)
 //! - Instant::now in a simulation crate (wallclock-in-sim)
 //! - println! in library code (println-in-lib)
+//! - a Mutex in a behavior crate (shared-state-in-behavior)
 
 use std::collections::HashMap;
 
 pub struct Broker {
     jobs: HashMap<u64, String>,
+    log: std::sync::Mutex<Vec<String>>,
 }
 
 impl Broker {

@@ -106,6 +106,18 @@ fn println_is_caught_in_library_code() {
 }
 
 #[test]
+fn shared_state_is_caught_in_behavior_crates_only() {
+    let facts = scan_source(&fixture("shared_state.rs"));
+    let behavior = lint_file("crates/parsys/src/fixture.rs", &facts);
+    assert!(behavior
+        .iter()
+        .all(|f| f.kind == CheckKind::SharedStateInBehavior));
+    let lines: Vec<u32> = behavior.iter().map(|f| f.line).collect();
+    assert_eq!(lines, [5, 6, 9, 10, 11]);
+    assert!(lint_file("crates/workloads/src/fixture.rs", &facts).is_empty());
+}
+
+#[test]
 fn stale_allowlist_entry_is_reported() {
     // An allow entry for a scanned file that suppresses nothing must
     // surface as stale rather than rot silently.
@@ -143,6 +155,7 @@ fn drift_tree_fails_with_all_seeded_rules() {
         CheckKind::StdHashInHotPath,
         CheckKind::WallClockInSim,
         CheckKind::PrintlnInLib,
+        CheckKind::SharedStateInBehavior,
     ] {
         assert!(
             kinds.contains(&expected),

@@ -42,21 +42,16 @@ use rb_bench::json::Json;
 use rb_bench::report::{
     check_against_baseline, render_scenario_line, report_json, run_scenario, RepOutcome, Scenario,
 };
-use rb_simcore::{EventQueue, QueueKind, SimTime};
+use rb_simcore::{EventQueue, SimTime};
 use rb_workloads::storm::{self, StormConfig};
 use rb_workloads::table2;
 use rb_workloads::utilization::{run as run_utilization, UtilizationConfig};
 use std::process::ExitCode;
 
-/// Pure event-queue churn: push/pop `n` pseudo-shuffled events. The heap
-/// variant keeps the pre-change scenario name so baselines stay comparable.
-fn queue_scenario(kind: QueueKind, n: u64) -> Scenario {
-    let name = match kind {
-        QueueKind::Heap => format!("kernel.event_queue.push_pop_{n}"),
-        QueueKind::Wheel => format!("kernel.event_queue.wheel.push_pop_{n}"),
-    };
-    Scenario::new(name, move |seed| {
-        let mut q = EventQueue::with_kind(kind);
+/// Pure event-queue churn: push/pop `n` pseudo-shuffled events.
+fn queue_scenario(n: u64) -> Scenario {
+    Scenario::new(format!("kernel.event_queue.push_pop_{n}"), move |seed| {
+        let mut q = EventQueue::new();
         for i in 0..n {
             q.push(
                 SimTime((i.wrapping_mul(2_654_435_761) ^ seed) % 1_000_000),
@@ -73,7 +68,6 @@ fn queue_scenario(kind: QueueKind, n: u64) -> Scenario {
             sim_seconds: last.as_secs_f64(),
         }
     })
-    .with_queue_kind(kind)
 }
 
 fn table2_scenario(name: &str, plain: bool) -> Scenario {
@@ -90,16 +84,11 @@ fn table2_scenario(name: &str, plain: bool) -> Scenario {
     })
 }
 
-fn utilization_scenario(kind: QueueKind, hours: f64) -> Scenario {
-    let name = match kind {
-        QueueKind::Heap => format!("utilization.{hours:.0}h"),
-        QueueKind::Wheel => format!("utilization.{hours:.0}h.wheel"),
-    };
-    Scenario::new(name, move |seed| {
+fn utilization_scenario(hours: f64) -> Scenario {
+    Scenario::new(format!("utilization.{hours:.0}h"), move |seed| {
         let report = run_utilization(&UtilizationConfig {
             hours,
             seed,
-            scheduler: kind,
             ..Default::default()
         });
         RepOutcome {
@@ -107,7 +96,6 @@ fn utilization_scenario(kind: QueueKind, hours: f64) -> Scenario {
             sim_seconds: report.simulated_hours * 3600.0,
         }
     })
-    .with_queue_kind(kind)
 }
 
 /// The timer-storm scenario on an explicit shard × worker-thread
@@ -130,7 +118,6 @@ fn parallel_scenario(shards: usize, threads: usize) -> Scenario {
             sim_seconds: report.sim_seconds,
         }
     })
-    .with_queue_kind(QueueKind::Heap)
     .with_shards(shards)
     .with_threads(threads)
 }
@@ -202,12 +189,10 @@ fn main() -> ExitCode {
 
     // ---- BENCH_kernel.json -------------------------------------------
     let scenarios = vec![
-        queue_scenario(QueueKind::Heap, 100_000),
-        queue_scenario(QueueKind::Wheel, 100_000),
+        queue_scenario(100_000),
         table2_scenario("table2.plain_loop", true),
         table2_scenario("table2.realloc_loop", false),
-        utilization_scenario(QueueKind::Heap, 1.0),
-        utilization_scenario(QueueKind::Wheel, 1.0),
+        utilization_scenario(1.0),
     ];
     let mut reports = Vec::new();
     for s in &scenarios {
@@ -233,24 +218,17 @@ fn main() -> ExitCode {
         .set("enabled", true)
         .set("kernel", profile)
         .set("critpath", critpath);
-    // Parallel-safety provenance: the rbrace static Send-readiness
-    // summary of the shipped tree, plus a happens-before check over a
-    // 4-shard hb-traced realloc run — a baseline records not just how
-    // fast the kernel was but that the run it measured was race-free.
+    // Parallel-safety provenance: a happens-before check over a 4-shard
+    // hb-traced realloc run — a baseline records not just how fast the
+    // kernel was but that the run it measured was race-free.
     let rbrace_doc = {
-        let send = rb_analyze::sendcheck::run_sendcheck(&rb_analyze::sendcheck::SendConfig::new(
-            rb_analyze::check::workspace_root(),
-        ));
-        let (_, hb_cluster) =
-            table2::prime_with_realloc_hb(BASE_SEED, table2::loop_cmd(), QueueKind::Heap, 4);
+        let (_, hb_cluster) = table2::prime_with_realloc_hb(BASE_SEED, table2::loop_cmd(), 4);
         let hb = rb_analyze::hb::check_recorded(
             hb_cluster.world.trace().events(),
             &rb_analyze::hb::HbConfig::default(),
         );
         let err = |e: String| Json::obj().set("error", e.as_str());
-        Json::obj()
-            .set("static", send.map_or_else(err, |r| r.summary_json()))
-            .set("hb", hb.map_or_else(err, |r| r.summary_json()))
+        Json::obj().set("hb", hb.map_or_else(err, |r| r.summary_json()))
     };
     let kernel_doc = report_json("rb-bench/kernel/v1", reps, &reports)
         .set("metrics", metrics)

@@ -51,7 +51,8 @@ pub struct ClusterOptions {
     /// Sample kernel/cluster gauges into the metrics registry at this
     /// interval (`None` disables metrics entirely — zero cost).
     pub metrics_interval: Option<rb_simcore::Duration>,
-    /// Event-queue backend for the kernel (both replay bit-identically).
+    /// Unread: the kernel has one event-queue backend (see
+    /// [`QueueKind`]). Kept because `perfbench` sets it.
     pub scheduler: QueueKind,
     /// Event shards for the kernel (1 = serial; any count replays
     /// bit-identically — see [`rb_simnet::WorldBuilder::shards`]).
@@ -119,7 +120,6 @@ pub fn build_cluster(opts: ClusterOptions) -> Cluster {
         .cost(opts.cost)
         .trace(opts.trace)
         .profile(opts.profile)
-        .scheduler(opts.scheduler)
         .shards(opts.shards)
         .threads(opts.threads)
         .hb_trace(opts.hb_trace)

@@ -13,7 +13,7 @@ pub enum Value {
 impl fmt::Display for Value {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            Value::Str(s) => write!(f, "\"{}\"", s.replace('"', "\\\"")),
+            Value::Str(s) => write!(f, "\"{}\"", s.replace('\\', "\\\\").replace('"', "\\\"")),
             Value::Int(i) => write!(f, "{i}"),
         }
     }

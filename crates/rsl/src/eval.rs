@@ -46,7 +46,7 @@ impl Default for JobSpec {
 pub enum SpecError {
     /// e.g. `(count>="four")`.
     TypeMismatch { attr: String },
-    /// e.g. `(count<0)` or contradictory bounds.
+    /// e.g. `(count<0)`, a count beyond `u32`, or contradictory bounds.
     BadCount { detail: String },
 }
 
@@ -73,12 +73,11 @@ pub fn job_spec(req: &Request) -> Result<JobSpec, SpecError> {
                         attr: "count".into(),
                     });
                 };
-                if v < 0 {
+                let Ok(v) = u32::try_from(v) else {
                     return Err(SpecError::BadCount {
-                        detail: format!("count {v} < 0"),
+                        detail: format!("count {v} outside 0..={}", u32::MAX),
                     });
-                }
-                let v = v as u32;
+                };
                 match c.op {
                     RelOp::Eq => {
                         spec.min_count = v;
@@ -90,7 +89,12 @@ pub fn job_spec(req: &Request) -> Result<JobSpec, SpecError> {
                         explicit_min = true;
                     }
                     RelOp::Gt => {
-                        spec.min_count = spec.min_count.max(v + 1);
+                        let Some(min) = v.checked_add(1) else {
+                            return Err(SpecError::BadCount {
+                                detail: format!("count>{v} impossible"),
+                            });
+                        };
+                        spec.min_count = spec.min_count.max(min);
                         explicit_min = true;
                     }
                     RelOp::Le => {
@@ -254,6 +258,27 @@ mod tests {
         assert!(matches!(bad, Err(SpecError::BadCount { .. })));
         let bad = job_spec(&parse("(count=-1)").unwrap());
         assert!(matches!(bad, Err(SpecError::BadCount { .. })));
+    }
+
+    /// Counts above `u32::MAX` are bad counts under every operator rather
+    /// than wrapping (or, for `>`, overflowing) into a different bound.
+    #[test]
+    fn counts_beyond_u32_are_bad_counts() {
+        let bad = |src: &str| {
+            let got = job_spec(&parse(src).unwrap());
+            assert!(
+                matches!(got, Err(SpecError::BadCount { .. })),
+                "{src}: {got:?}"
+            );
+        };
+        bad("(count=4294967296)");
+        bad("(count>=4294967296)");
+        bad("(count>4294967295)");
+        bad("(count<=4294967297)");
+        bad("(count<4294967296)");
+        // The largest representable bounds still work.
+        assert_eq!(spec_of("(count>4294967294)").min_count, u32::MAX);
+        assert_eq!(spec_of("(count<=4294967295)").max_count, Some(u32::MAX));
     }
 
     fn linux() -> MachineAttrs {

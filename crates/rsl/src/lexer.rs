@@ -16,7 +16,8 @@ pub enum Token {
     Op(RelOp),
     /// A bare identifier or word value.
     Ident(String),
-    /// A double-quoted string (quotes stripped, `\"` unescaped).
+    /// A double-quoted string (quotes stripped, `\"` and `\\` unescaped;
+    /// any other backslash is kept as written).
     Str(String),
     /// An integer literal.
     Int(i64),
@@ -126,29 +127,25 @@ pub fn lex(input: &str) -> Result<Vec<Token>, LexError> {
                 }
             }
             '"' => {
-                let start = i;
-                i += 1;
                 let mut s = String::new();
+                let mut chars = input[i + 1..].char_indices().peekable();
                 loop {
-                    match bytes.get(i) {
+                    match chars.next() {
                         None => {
                             return Err(LexError {
-                                pos: start,
+                                pos: i,
                                 message: "unterminated string".into(),
                             })
                         }
-                        Some(b'"') => {
-                            i += 1;
+                        Some((j, '"')) => {
+                            i += j + 2;
                             break;
                         }
-                        Some(b'\\') if bytes.get(i + 1) == Some(&b'"') => {
-                            s.push('"');
-                            i += 2;
-                        }
-                        Some(&b) => {
-                            s.push(b as char);
-                            i += 1;
-                        }
+                        Some((_, '\\')) => match chars.next_if(|&(_, c)| c == '"' || c == '\\') {
+                            Some((_, c)) => s.push(c),
+                            None => s.push('\\'),
+                        },
+                        Some((_, c)) => s.push(c),
                     }
                 }
                 out.push(Token::Str(s));
@@ -178,11 +175,15 @@ pub fn lex(input: &str) -> Result<Vec<Token>, LexError> {
                 }
                 out.push(Token::Ident(input[start..i].to_string()));
             }
-            other => {
+            _ => {
+                let other = input[i..]
+                    .chars()
+                    .next()
+                    .expect("i is a char boundary below len");
                 return Err(LexError {
                     pos: i,
                     message: format!("unexpected character '{other}'"),
-                })
+                });
             }
         }
     }
@@ -246,6 +247,18 @@ mod tests {
     fn string_escapes() {
         let toks = lex(r#"(x="a\"b")"#).unwrap();
         assert!(toks.contains(&Token::Str("a\"b".into())));
+        let toks = lex(r#"(x="a\\" y="c\d")"#).unwrap();
+        assert!(toks.contains(&Token::Str("a\\".into())));
+        assert!(toks.contains(&Token::Str("c\\d".into())));
+    }
+
+    #[test]
+    fn multibyte_chars_are_decoded_whole() {
+        let toks = lex("(user=\"José\")").unwrap();
+        assert!(toks.contains(&Token::Str("José".into())));
+        let err = lex("(x=é)").unwrap_err();
+        assert_eq!(err.pos, 3);
+        assert_eq!(err.message, "unexpected character 'é'");
     }
 
     #[test]

@@ -215,11 +215,15 @@ mod randomized {
         if rng.chance(0.5) {
             Value::Int(rng.uniform_u64(0, 2_000) as i64 - 1_000)
         } else {
-            let chars = b"abcdefghijklmnopqrstuvwxyz0123456789_.-";
+            // Quotes, backslashes and multi-byte chars must survive the
+            // printer's escaping and the lexer's decoding.
+            let chars: Vec<char> = "abcdefghijklmnopqrstuvwxyz0123456789_.- \"\\é€😀"
+                .chars()
+                .collect();
             let mut s = String::new();
             s.push(b"abcdefghijklmnopqrstuvwxyz"[rng.index(26)] as char);
             for _ in 0..rng.index(13) {
-                s.push(chars[rng.index(chars.len())] as char);
+                s.push(chars[rng.index(chars.len())]);
             }
             Value::Str(s)
         }

@@ -23,7 +23,6 @@ pub mod span;
 pub mod spsc;
 pub mod time;
 pub mod trace;
-pub mod wheel;
 
 pub use arena::{Slab, SlabKey};
 pub use fxhash::{FxHashMap, FxHashSet, FxHasher};
@@ -41,4 +40,3 @@ pub use time::{Duration, SimTime};
 pub use trace::{
     parse_rendered, parse_stats_comment, Topic, TraceEvent, TraceFileStats, TraceRecorder,
 };
-pub use wheel::TimerWheel;

@@ -1,15 +1,14 @@
 //! The event queue: a time-ordered priority queue with stable FIFO ordering
 //! among events scheduled for the same instant.
 //!
-//! Two interchangeable backends sit behind one API, selected by
-//! [`QueueKind`]: a binary heap (the default) and a hierarchical
-//! [`TimerWheel`](crate::wheel::TimerWheel) with `O(1)` insertion. Both
-//! honor the same determinism contract — pops come in non-decreasing time
-//! order and equal-time events pop in push order — so whole-simulation
-//! replays are bit-identical regardless of which backend runs them.
+//! One backend, a binary heap ordered by `(time, seq)`: pops come in
+//! non-decreasing time order and equal-time events pop in sequence order,
+//! whatever order they were pushed in. Large payloads live in a slot store
+//! so the heap sifts small keys (see `INLINE_MAX_BYTES`); the choice is
+//! made from the payload size and is invisible to everything but the
+//! profiler. DESIGN.md §10.2 records why no second backend is kept.
 
 use crate::time::SimTime;
-use crate::wheel::TimerWheel;
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
@@ -47,20 +46,20 @@ impl<E> Ord for Entry<E> {
 /// Payloads at or below this size stay inline in the priority structure;
 /// larger ones move to the slot store and the structure orders 24-byte
 /// `(at, seq, slot)` keys instead. The crossover sits where one extra
-/// random store access per pop beats sifting/cascading fat entries —
+/// random store access per pop beats sifting fat entries —
 /// measured on a depth-130 sliding-window workload, indirection cuts
 /// queue time ~38% for ~96-byte simulation events but roughly doubles it
 /// for bare `u64` payloads.
 const INLINE_MAX_BYTES: usize = 32;
 
-/// Which data structure backs an [`EventQueue`].
+/// The event-queue backend. There is only the heap: nothing reads this
+/// type, which stays only because `perfbench` copies
+/// `UtilizationConfig::scheduler` into `ClusterOptions::scheduler`.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum QueueKind {
-    /// Binary heap: `O(log n)` push/pop, the long-standing default.
+    /// Binary heap: `O(log n)` push/pop.
     #[default]
     Heap,
-    /// Hierarchical timer wheel: `O(1)` push, amortized-constant pop.
-    Wheel,
 }
 
 /// Counters describing how hard the event queue worked during a run.
@@ -97,18 +96,15 @@ pub trait ScheduleOracle<E> {
 
 enum Backend<E> {
     Heap(BinaryHeap<Entry<E>>),
-    Wheel(TimerWheel<E>),
     /// Heap over slot keys; events live in the queue's slot store.
     HeapSlab(BinaryHeap<Entry<u32>>),
-    /// Wheel over slot keys; events live in the queue's slot store.
-    WheelSlab(TimerWheel<u32>),
 }
 
 /// A deterministic discrete-event queue.
 ///
 /// Events pop in non-decreasing time order; events at equal times pop in the
 /// order they were pushed. This tie-break is what makes whole-simulation
-/// replays bit-identical across runs, platforms, and backends.
+/// replays bit-identical across runs and platforms.
 pub struct EventQueue<E> {
     backend: Backend<E>,
     /// Free-list slot store for event payloads when the slab
@@ -136,37 +132,16 @@ impl<E> Default for EventQueue<E> {
 }
 
 impl<E> EventQueue<E> {
-    /// A heap-backed queue (the default).
+    /// An empty queue. The in-memory representation (inline vs.
+    /// slot-store) is picked from the payload size; both honor the same
+    /// ordering contract.
     pub fn new() -> Self {
-        Self::with_kind(QueueKind::Heap)
-    }
-
-    /// Pre-size the backing storage for an expected pending-event depth,
-    /// sparing short-lived worlds the first few growth reallocations.
-    pub fn reserve(&mut self, depth: usize) {
-        match &mut self.backend {
-            Backend::Heap(heap) => heap.reserve(depth),
-            Backend::HeapSlab(heap) => heap.reserve(depth),
-            Backend::Wheel(_) | Backend::WheelSlab(_) => {}
-        }
-        if let Backend::HeapSlab(_) | Backend::WheelSlab(_) = self.backend {
-            self.store.reserve(depth);
-            self.free.reserve(depth);
-        }
-    }
-
-    /// A queue with an explicitly chosen backend. The in-memory
-    /// representation (inline vs. slot-store) is picked from the payload
-    /// size; both representations honor the same ordering contract, so
-    /// the choice is invisible to everything but the profiler.
-    pub fn with_kind(kind: QueueKind) -> Self {
         let slab = std::mem::size_of::<E>() > INLINE_MAX_BYTES;
         EventQueue {
-            backend: match (kind, slab) {
-                (QueueKind::Heap, false) => Backend::Heap(BinaryHeap::new()),
-                (QueueKind::Wheel, false) => Backend::Wheel(TimerWheel::new()),
-                (QueueKind::Heap, true) => Backend::HeapSlab(BinaryHeap::new()),
-                (QueueKind::Wheel, true) => Backend::WheelSlab(TimerWheel::new()),
+            backend: if slab {
+                Backend::HeapSlab(BinaryHeap::new())
+            } else {
+                Backend::Heap(BinaryHeap::new())
             },
             store: Vec::new(),
             free: Vec::new(),
@@ -178,11 +153,16 @@ impl<E> EventQueue<E> {
         }
     }
 
-    /// Which backend this queue runs on.
-    pub fn kind(&self) -> QueueKind {
-        match self.backend {
-            Backend::Heap(_) | Backend::HeapSlab(_) => QueueKind::Heap,
-            Backend::Wheel(_) | Backend::WheelSlab(_) => QueueKind::Wheel,
+    /// Pre-size the backing storage for an expected pending-event depth,
+    /// sparing short-lived worlds the first few growth reallocations.
+    pub fn reserve(&mut self, depth: usize) {
+        match &mut self.backend {
+            Backend::Heap(heap) => heap.reserve(depth),
+            Backend::HeapSlab(heap) => {
+                heap.reserve(depth);
+                self.store.reserve(depth);
+                self.free.reserve(depth);
+            }
         }
     }
 
@@ -215,7 +195,6 @@ impl<E> EventQueue<E> {
     fn place(&mut self, at: SimTime, seq: u64, event: E) {
         match &mut self.backend {
             Backend::Heap(heap) => heap.push(Entry { at, seq, event }),
-            Backend::Wheel(wheel) => wheel.push(at.0, seq, event),
             Backend::HeapSlab(_) => {
                 let slot = self.store_insert(event);
                 let Backend::HeapSlab(heap) = &mut self.backend else {
@@ -226,13 +205,6 @@ impl<E> EventQueue<E> {
                     seq,
                     event: slot,
                 });
-            }
-            Backend::WheelSlab(_) => {
-                let slot = self.store_insert(event);
-                let Backend::WheelSlab(wheel) = &mut self.backend else {
-                    unreachable!()
-                };
-                wheel.push(at.0, seq, slot);
             }
         }
     }
@@ -254,8 +226,7 @@ impl<E> EventQueue<E> {
     /// ([`crate::DispatchKey`]) at push time; they are unique and strictly
     /// increasing *per origin machine* but arbitrary per queue, so no
     /// watermark is enforced — ties in `at` break by the key's `u64`
-    /// order, whatever interleaving the keys arrived in (both backends
-    /// guarantee exact `(time, key)` pop order for arbitrary streams).
+    /// order, whatever interleaving the keys arrived in.
     pub fn push_seq(&mut self, at: SimTime, seq: u64, event: E) {
         self.seq = self.seq.max(seq + 1);
         self.scheduled += 1;
@@ -275,13 +246,7 @@ impl<E> EventQueue<E> {
         }
         let popped = match &mut self.backend {
             Backend::Heap(heap) => heap.pop().map(|e| Popped::Inline(e.at, e.seq, e.event)),
-            Backend::Wheel(wheel) => wheel
-                .pop()
-                .map(|(t, seq, ev)| Popped::Inline(SimTime(t), seq, ev)),
             Backend::HeapSlab(heap) => heap.pop().map(|e| Popped::Slab(e.at, e.seq, e.event)),
-            Backend::WheelSlab(wheel) => wheel
-                .pop()
-                .map(|(t, seq, s)| Popped::Slab(SimTime(t), seq, s)),
         }?;
         Some(match popped {
             Popped::Inline(at, seq, event) => (at, seq, event),
@@ -316,14 +281,8 @@ impl<E> EventQueue<E> {
     }
 
     /// Put back an event taken by [`pop_front_batch`] with its original
-    /// sequence number, undoing its share of the dispatch accounting.
-    ///
-    /// Callers must requeue the unchosen remainder of a batch in ascending
-    /// sequence order before any new `push`: the wheel backend keeps
-    /// equal-time events FIFO by slot order, and since a batch drains its
-    /// slot completely, in-order requeues rebuild exactly the suffix the
-    /// next pop expects. Under that discipline both backends stay
-    /// bit-identical.
+    /// sequence number, undoing its share of the dispatch accounting. The
+    /// heap orders by `(time, seq)`, so requeues may come in any order.
     ///
     /// [`pop_front_batch`]: EventQueue::pop_front_batch
     pub fn requeue(&mut self, at: SimTime, seq: u64, event: E) {
@@ -346,11 +305,7 @@ impl<E> EventQueue<E> {
         } else {
             oracle.choose(at, &batch).min(batch.len() - 1)
         };
-        // O(1) removal; the remainder is re-sorted so requeues happen in
-        // ascending sequence order (the discipline `requeue` documents —
-        // the wheel rebuilds its slot suffix from exactly that order).
         let (_, chosen) = batch.swap_remove(idx);
-        batch.sort_unstable_by_key(|&(seq, _)| seq);
         // `pop_front_batch` counted the whole batch as dispatched and each
         // requeue undoes one share, so the chosen event's accounting is
         // already exact here.
@@ -360,7 +315,7 @@ impl<E> EventQueue<E> {
         Some((at, chosen))
     }
 
-    /// Visit every pending event in unspecified order (backend-dependent).
+    /// Visit every pending event in unspecified order (heap order).
     /// Intended for order-independent accounting such as state
     /// fingerprinting; nothing about iteration order is stable.
     pub fn for_each_pending(&self, mut f: impl FnMut(SimTime, u64, &E)) {
@@ -370,7 +325,6 @@ impl<E> EventQueue<E> {
                     f(e.at, e.seq, &e.event);
                 }
             }
-            Backend::Wheel(wheel) => wheel.for_each(|t, seq, ev| f(SimTime(t), seq, ev)),
             Backend::HeapSlab(heap) => {
                 for e in heap.iter() {
                     let ev = self.store[e.event as usize]
@@ -379,12 +333,6 @@ impl<E> EventQueue<E> {
                     f(e.at, e.seq, ev);
                 }
             }
-            Backend::WheelSlab(wheel) => wheel.for_each(|t, seq, slot| {
-                let ev = self.store[*slot as usize]
-                    .as_ref()
-                    .expect("backend keys and slot store in sync");
-                f(SimTime(t), seq, ev);
-            }),
         }
     }
 
@@ -393,27 +341,18 @@ impl<E> EventQueue<E> {
         match &self.backend {
             Backend::Heap(heap) => heap.peek().map(|e| e.at),
             Backend::HeapSlab(heap) => heap.peek().map(|e| e.at),
-            Backend::Wheel(wheel) => wheel.peek_time().map(SimTime),
-            Backend::WheelSlab(wheel) => wheel.peek_time().map(SimTime),
         }
     }
 
     /// `(time, sequence)` key of the earliest pending event — what the
     /// lane coordinator compares across lane queues to find the globally
-    /// next dispatch without popping.
-    ///
-    /// Exact on every backend for arbitrary key streams: the heap
-    /// backends read their root, and the wheel backends keep each slot
-    /// sorted by `(time, seq)` on insertion, so the head of the lowest
-    /// occupied slot is the true minimum even for the parallel kernel's
-    /// machine-affine keys, which are not globally monotone within a
-    /// lane.
+    /// next dispatch without popping. The heap root is the true minimum
+    /// even for the parallel kernel's machine-affine keys, which are not
+    /// globally monotone within a lane.
     pub fn peek_key(&self) -> Option<(SimTime, u64)> {
         match &self.backend {
             Backend::Heap(heap) => heap.peek().map(|e| (e.at, e.seq)),
             Backend::HeapSlab(heap) => heap.peek().map(|e| (e.at, e.seq)),
-            Backend::Wheel(wheel) => wheel.peek_key().map(|(t, s)| (SimTime(t), s)),
-            Backend::WheelSlab(wheel) => wheel.peek_key().map(|(t, s)| (SimTime(t), s)),
         }
     }
 
@@ -455,64 +394,54 @@ impl<E> EventQueue<E> {
 mod tests {
     use super::*;
 
-    fn kinds() -> [QueueKind; 2] {
-        [QueueKind::Heap, QueueKind::Wheel]
-    }
-
     #[test]
     fn pops_in_time_order() {
-        for kind in kinds() {
-            let mut q = EventQueue::with_kind(kind);
-            q.push(SimTime(30), "c");
-            q.push(SimTime(10), "a");
-            q.push(SimTime(20), "b");
-            assert_eq!(q.pop(), Some((SimTime(10), "a")));
-            assert_eq!(q.pop(), Some((SimTime(20), "b")));
-            assert_eq!(q.pop(), Some((SimTime(30), "c")));
-            assert_eq!(q.pop(), None);
-        }
+        let mut q = EventQueue::new();
+        q.push(SimTime(30), "c");
+        q.push(SimTime(10), "a");
+        q.push(SimTime(20), "b");
+        assert_eq!(q.pop(), Some((SimTime(10), "a")));
+        assert_eq!(q.pop(), Some((SimTime(20), "b")));
+        assert_eq!(q.pop(), Some((SimTime(30), "c")));
+        assert_eq!(q.pop(), None);
     }
 
     #[test]
     fn equal_times_pop_fifo() {
-        for kind in kinds() {
-            let mut q = EventQueue::with_kind(kind);
-            for i in 0..100 {
-                q.push(SimTime(5), i);
-            }
-            for i in 0..100 {
-                assert_eq!(q.pop(), Some((SimTime(5), i)));
-            }
+        let mut q = EventQueue::new();
+        for i in 0..100 {
+            q.push(SimTime(5), i);
+        }
+        for i in 0..100 {
+            assert_eq!(q.pop(), Some((SimTime(5), i)));
         }
     }
 
     #[test]
     fn batch_pop_and_requeue_preserve_fifo_and_counters() {
-        for kind in kinds() {
-            let mut q = EventQueue::with_kind(kind);
-            q.push(SimTime(5), "a");
-            q.push(SimTime(5), "b");
-            q.push(SimTime(5), "c");
-            q.push(SimTime(9), "z");
-            let (at, batch) = q.pop_front_batch().unwrap();
-            assert_eq!(at, SimTime(5));
-            assert_eq!(
-                batch.iter().map(|&(_, e)| e).collect::<Vec<_>>(),
-                ["a", "b", "c"]
-            );
-            // Dispatch "b"; requeue the rest in ascending seq order.
-            let mut rest: Vec<_> = batch.into_iter().filter(|&(_, e)| e != "b").collect();
-            rest.sort_by_key(|&(seq, _)| seq);
-            for (seq, e) in rest {
-                q.requeue(at, seq, e);
-            }
-            assert_eq!(q.len(), 3);
-            assert_eq!(q.pop(), Some((SimTime(5), "a")));
-            assert_eq!(q.pop(), Some((SimTime(5), "c")));
-            assert_eq!(q.pop(), Some((SimTime(9), "z")));
-            assert_eq!(q.scheduled_total(), 4);
-            assert_eq!(q.popped_total(), 4);
+        let mut q = EventQueue::new();
+        q.push(SimTime(5), "a");
+        q.push(SimTime(5), "b");
+        q.push(SimTime(5), "c");
+        q.push(SimTime(9), "z");
+        let (at, batch) = q.pop_front_batch().unwrap();
+        assert_eq!(at, SimTime(5));
+        assert_eq!(
+            batch.iter().map(|&(_, e)| e).collect::<Vec<_>>(),
+            ["a", "b", "c"]
+        );
+        // Dispatch "b"; requeue the rest newest first — the heap restores
+        // FIFO from the sequence numbers alone.
+        let rest: Vec<_> = batch.into_iter().filter(|&(_, e)| e != "b").collect();
+        for (seq, e) in rest.into_iter().rev() {
+            q.requeue(at, seq, e);
         }
+        assert_eq!(q.len(), 3);
+        assert_eq!(q.pop(), Some((SimTime(5), "a")));
+        assert_eq!(q.pop(), Some((SimTime(5), "c")));
+        assert_eq!(q.pop(), Some((SimTime(9), "z")));
+        assert_eq!(q.scheduled_total(), 4);
+        assert_eq!(q.popped_total(), 4);
     }
 
     #[test]
@@ -523,23 +452,21 @@ mod tests {
                 0
             }
         }
-        for kind in kinds() {
-            let mut plain = EventQueue::with_kind(kind);
-            let mut guided = EventQueue::with_kind(kind);
-            for (t, v) in [(5, 'a'), (5, 'b'), (3, 'x'), (5, 'c'), (3, 'y')] {
-                plain.push(SimTime(t), v);
-                guided.push(SimTime(t), v);
-            }
-            loop {
-                let a = plain.pop();
-                let b = guided.pop_with_oracle(&mut Fifo);
-                assert_eq!(a, b);
-                if a.is_none() {
-                    break;
-                }
-            }
-            assert_eq!(plain.stats(), guided.stats());
+        let mut plain = EventQueue::new();
+        let mut guided = EventQueue::new();
+        for (t, v) in [(5, 'a'), (5, 'b'), (3, 'x'), (5, 'c'), (3, 'y')] {
+            plain.push(SimTime(t), v);
+            guided.push(SimTime(t), v);
         }
+        loop {
+            let a = plain.pop();
+            let b = guided.pop_with_oracle(&mut Fifo);
+            assert_eq!(a, b);
+            if a.is_none() {
+                break;
+            }
+        }
+        assert_eq!(plain.stats(), guided.stats());
     }
 
     #[test]
@@ -550,22 +477,20 @@ mod tests {
                 batch.len() - 1
             }
         }
-        for kind in kinds() {
-            let mut q = EventQueue::with_kind(kind);
-            q.push(SimTime(5), "a");
-            q.push(SimTime(5), "b");
-            assert_eq!(q.pop_with_oracle(&mut Last), Some((SimTime(5), "b")));
-            // The remainder still pops FIFO.
-            assert_eq!(q.pop_with_oracle(&mut Last), Some((SimTime(5), "a")));
-            assert_eq!(q.pop_with_oracle(&mut Last), None);
-        }
+        let mut q = EventQueue::new();
+        q.push(SimTime(5), "a");
+        q.push(SimTime(5), "b");
+        assert_eq!(q.pop_with_oracle(&mut Last), Some((SimTime(5), "b")));
+        // The remainder still pops FIFO.
+        assert_eq!(q.pop_with_oracle(&mut Last), Some((SimTime(5), "a")));
+        assert_eq!(q.pop_with_oracle(&mut Last), None);
     }
 
     #[test]
     fn oracle_requeue_keeps_fifo_after_middle_pick() {
         // Picking from the middle of a 4-wide tie must leave the other
-        // three popping in their original FIFO order — the swap_remove in
-        // pop_with_oracle re-sorts the remainder before requeueing.
+        // three popping in their original FIFO order, although the
+        // swap_remove in pop_with_oracle requeues them out of order.
         struct Pick(usize);
         impl<E> ScheduleOracle<E> for Pick {
             fn choose(&mut self, _at: SimTime, _batch: &[(u64, E)]) -> usize {
@@ -574,21 +499,19 @@ mod tests {
                 i
             }
         }
-        for kind in kinds() {
-            let mut q = EventQueue::with_kind(kind);
-            for v in ["a", "b", "c", "d"] {
-                q.push(SimTime(5), v);
-            }
-            q.push(SimTime(9), "z");
-            let mut oracle = Pick(2);
-            assert_eq!(q.pop_with_oracle(&mut oracle), Some((SimTime(5), "c")));
-            assert_eq!(q.pop_with_oracle(&mut oracle), Some((SimTime(5), "a")));
-            assert_eq!(q.pop_with_oracle(&mut oracle), Some((SimTime(5), "b")));
-            assert_eq!(q.pop_with_oracle(&mut oracle), Some((SimTime(5), "d")));
-            assert_eq!(q.pop_with_oracle(&mut oracle), Some((SimTime(9), "z")));
-            assert_eq!(q.stats().dispatched, 5);
-            assert_eq!(q.stats().depth, 0);
+        let mut q = EventQueue::new();
+        for v in ["a", "b", "c", "d"] {
+            q.push(SimTime(5), v);
         }
+        q.push(SimTime(9), "z");
+        let mut oracle = Pick(2);
+        assert_eq!(q.pop_with_oracle(&mut oracle), Some((SimTime(5), "c")));
+        assert_eq!(q.pop_with_oracle(&mut oracle), Some((SimTime(5), "a")));
+        assert_eq!(q.pop_with_oracle(&mut oracle), Some((SimTime(5), "b")));
+        assert_eq!(q.pop_with_oracle(&mut oracle), Some((SimTime(5), "d")));
+        assert_eq!(q.pop_with_oracle(&mut oracle), Some((SimTime(9), "z")));
+        assert_eq!(q.stats().dispatched, 5);
+        assert_eq!(q.stats().depth, 0);
     }
 
     #[test]
@@ -596,85 +519,76 @@ mod tests {
         // Two lanes fed from one shared counter: each lane sees a gapping
         // but increasing sequence stream and pops in global (time, seq)
         // order; depth/scheduled counters track pushes, not the watermark.
-        for kind in kinds() {
-            let mut a = EventQueue::with_kind(kind);
-            let mut b = EventQueue::with_kind(kind);
-            let mut next = 0u64;
-            let mut alloc = || {
-                let s = next;
-                next += 1;
-                s
-            };
-            a.push_seq(SimTime(5), alloc(), "a0");
-            b.push_seq(SimTime(5), alloc(), "b0");
-            b.push_seq(SimTime(3), alloc(), "b1");
-            a.push_seq(SimTime(5), alloc(), "a1");
-            assert_eq!(a.len(), 2);
-            assert_eq!(a.scheduled_total(), 2);
-            assert_eq!(b.peek_key(), Some((SimTime(3), 2)));
-            assert_eq!(a.peek_key(), Some((SimTime(5), 0)));
-            assert_eq!(b.pop(), Some((SimTime(3), "b1")));
-            assert_eq!(b.peek_key(), Some((SimTime(5), 1)));
-            assert_eq!(a.pop(), Some((SimTime(5), "a0")));
-            assert_eq!(b.pop(), Some((SimTime(5), "b0")));
-            assert_eq!(a.pop(), Some((SimTime(5), "a1")));
-            assert_eq!(a.stats().depth + b.stats().depth, 0);
-        }
+        let mut a = EventQueue::new();
+        let mut b = EventQueue::new();
+        let mut next = 0u64;
+        let mut alloc = || {
+            let s = next;
+            next += 1;
+            s
+        };
+        a.push_seq(SimTime(5), alloc(), "a0");
+        b.push_seq(SimTime(5), alloc(), "b0");
+        b.push_seq(SimTime(3), alloc(), "b1");
+        a.push_seq(SimTime(5), alloc(), "a1");
+        assert_eq!(a.len(), 2);
+        assert_eq!(a.scheduled_total(), 2);
+        assert_eq!(b.peek_key(), Some((SimTime(3), 2)));
+        assert_eq!(a.peek_key(), Some((SimTime(5), 0)));
+        assert_eq!(b.pop(), Some((SimTime(3), "b1")));
+        assert_eq!(b.peek_key(), Some((SimTime(5), 1)));
+        assert_eq!(a.pop(), Some((SimTime(5), "a0")));
+        assert_eq!(b.pop(), Some((SimTime(5), "b0")));
+        assert_eq!(a.pop(), Some((SimTime(5), "a1")));
+        assert_eq!(a.stats().depth + b.stats().depth, 0);
     }
 
     #[test]
     fn peek_key_matches_next_pop() {
-        for kind in kinds() {
-            let mut q = EventQueue::with_kind(kind);
-            assert_eq!(q.peek_key(), None);
-            for (t, v) in [(30u64, 0u64), (10, 1), (10, 2), (900_000, 3), (10, 4)] {
-                q.push(SimTime(t), v);
-            }
-            while let Some((at, seq)) = q.peek_key() {
-                let (pat, _) = q.pop().unwrap();
-                assert_eq!(pat, at);
-                // seq numbers were assigned in push order 0..5.
-                assert!(seq < 5);
-            }
-            assert!(q.is_empty());
+        let mut q = EventQueue::new();
+        assert_eq!(q.peek_key(), None);
+        for (t, v) in [(30u64, 0u64), (10, 1), (10, 2), (900_000, 3), (10, 4)] {
+            q.push(SimTime(t), v);
         }
+        while let Some((at, seq)) = q.peek_key() {
+            let (pat, _) = q.pop().unwrap();
+            assert_eq!(pat, at);
+            // seq numbers were assigned in push order 0..5.
+            assert!(seq < 5);
+        }
+        assert!(q.is_empty());
     }
 
     #[test]
     fn for_each_pending_sees_exactly_the_pending_multiset() {
-        for kind in kinds() {
-            let mut q = EventQueue::with_kind(kind);
-            for i in 0..20u64 {
-                q.push(SimTime(i % 4), i);
-            }
-            q.pop();
-            q.pop();
-            let mut seen = Vec::new();
-            q.for_each_pending(|at, _seq, &ev| seen.push((at, ev)));
-            assert_eq!(seen.len(), q.len());
-            seen.sort();
-            let mut expect: Vec<_> = (0..20u64).map(|i| (SimTime(i % 4), i)).collect();
-            expect.sort();
-            assert_eq!(seen, expect[2..].to_vec());
+        let mut q = EventQueue::new();
+        for i in 0..20u64 {
+            q.push(SimTime(i % 4), i);
         }
+        q.pop();
+        q.pop();
+        let mut seen = Vec::new();
+        q.for_each_pending(|at, _seq, &ev| seen.push((at, ev)));
+        assert_eq!(seen.len(), q.len());
+        seen.sort();
+        let mut expect: Vec<_> = (0..20u64).map(|i| (SimTime(i % 4), i)).collect();
+        expect.sort();
+        assert_eq!(seen, expect[2..].to_vec());
     }
 
     #[test]
     fn counters_and_peek() {
-        for kind in kinds() {
-            let mut q = EventQueue::with_kind(kind);
-            assert_eq!(q.kind(), kind);
-            assert!(q.is_empty());
-            assert_eq!(q.peek_time(), None);
-            q.push(SimTime(7), ());
-            q.push(SimTime(3), ());
-            assert_eq!(q.peek_time(), Some(SimTime(3)));
-            assert_eq!(q.len(), 2);
-            q.pop();
-            assert_eq!(q.scheduled_total(), 2);
-            assert_eq!(q.popped_total(), 1);
-            assert_eq!(q.peak_depth(), 2);
-        }
+        let mut q = EventQueue::new();
+        assert!(q.is_empty());
+        assert_eq!(q.peek_time(), None);
+        q.push(SimTime(7), ());
+        q.push(SimTime(3), ());
+        assert_eq!(q.peek_time(), Some(SimTime(3)));
+        assert_eq!(q.len(), 2);
+        q.pop();
+        assert_eq!(q.scheduled_total(), 2);
+        assert_eq!(q.popped_total(), 1);
+        assert_eq!(q.peak_depth(), 2);
     }
 }
 
@@ -687,57 +601,53 @@ mod randomized {
     /// every pushed event comes back exactly once.
     #[test]
     fn pops_are_monotone_and_complete() {
-        for kind in [QueueKind::Heap, QueueKind::Wheel] {
-            let mut rng = SimRng::seeded(0x0101);
-            for _ in 0..128 {
-                let times: Vec<u64> = (0..rng.uniform_u64(1, 200))
-                    .map(|_| rng.uniform_u64(0, 1_000))
-                    .collect();
-                let mut q = EventQueue::with_kind(kind);
-                for (i, &t) in times.iter().enumerate() {
-                    q.push(SimTime(t), i);
-                }
-                let mut seen = vec![false; times.len()];
-                let mut last = SimTime::ZERO;
-                while let Some((at, idx)) = q.pop() {
-                    assert!(at >= last);
-                    assert_eq!(at, SimTime(times[idx]));
-                    assert!(!seen[idx]);
-                    seen[idx] = true;
-                    last = at;
-                }
-                assert!(seen.iter().all(|&s| s));
+        let mut rng = SimRng::seeded(0x0101);
+        for _ in 0..128 {
+            let times: Vec<u64> = (0..rng.uniform_u64(1, 200))
+                .map(|_| rng.uniform_u64(0, 1_000))
+                .collect();
+            let mut q = EventQueue::new();
+            for (i, &t) in times.iter().enumerate() {
+                q.push(SimTime(t), i);
             }
+            let mut seen = vec![false; times.len()];
+            let mut last = SimTime::ZERO;
+            while let Some((at, idx)) = q.pop() {
+                assert!(at >= last);
+                assert_eq!(at, SimTime(times[idx]));
+                assert!(!seen[idx]);
+                seen[idx] = true;
+                last = at;
+            }
+            assert!(seen.iter().all(|&s| s));
         }
     }
 
     /// FIFO among equal timestamps holds for arbitrary interleavings.
     #[test]
     fn fifo_within_timestamp() {
-        for kind in [QueueKind::Heap, QueueKind::Wheel] {
-            let mut rng = SimRng::seeded(0x0202);
-            for _ in 0..128 {
-                let times: Vec<u64> = (0..rng.uniform_u64(1, 100))
-                    .map(|_| rng.uniform_u64(0, 5))
-                    .collect();
-                let mut q = EventQueue::with_kind(kind);
-                for (i, &t) in times.iter().enumerate() {
-                    q.push(SimTime(t), i);
+        let mut rng = SimRng::seeded(0x0202);
+        for _ in 0..128 {
+            let times: Vec<u64> = (0..rng.uniform_u64(1, 100))
+                .map(|_| rng.uniform_u64(0, 5))
+                .collect();
+            let mut q = EventQueue::new();
+            for (i, &t) in times.iter().enumerate() {
+                q.push(SimTime(t), i);
+            }
+            let mut last_seq_at: std::collections::HashMap<u64, usize> = Default::default();
+            while let Some((at, idx)) = q.pop() {
+                if let Some(&prev) = last_seq_at.get(&at.0) {
+                    assert!(idx > prev, "FIFO violated at t={}", at.0);
                 }
-                let mut last_seq_at: std::collections::HashMap<u64, usize> = Default::default();
-                while let Some((at, idx)) = q.pop() {
-                    if let Some(&prev) = last_seq_at.get(&at.0) {
-                        assert!(idx > prev, "FIFO violated at t={}", at.0);
-                    }
-                    last_seq_at.insert(at.0, idx);
-                }
+                last_seq_at.insert(at.0, idx);
             }
         }
     }
 
-    /// Payloads above `INLINE_MAX_BYTES` switch both backends to the
-    /// slot-store representation; the ordering contract must be
-    /// indistinguishable from the inline one.
+    /// Payloads above `INLINE_MAX_BYTES` switch the heap to the slot-store
+    /// representation; the ordering contract must be indistinguishable
+    /// from the inline one.
     #[test]
     fn slab_representation_is_equivalent() {
         #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -745,61 +655,18 @@ mod randomized {
         assert!(std::mem::size_of::<Big>() > super::INLINE_MAX_BYTES);
         let mut rng = SimRng::seeded(0x0404);
         for _ in 0..32 {
-            let mut heap = EventQueue::with_kind(QueueKind::Heap);
-            let mut wheel = EventQueue::with_kind(QueueKind::Wheel);
+            let mut heap = EventQueue::new();
             let mut expect = Vec::new();
             for i in 0..300u64 {
                 let at = SimTime(rng.uniform_u64(0, 1 << 20));
                 heap.push(at, Big([i; 12]));
-                wheel.push(at, Big([i; 12]));
                 expect.push((at, i));
             }
             expect.sort_by_key(|&(at, i)| (at, i));
             for &(at, i) in &expect {
                 assert_eq!(heap.pop(), Some((at, Big([i; 12]))));
-                assert_eq!(wheel.pop(), Some((at, Big([i; 12]))));
             }
             assert_eq!(heap.pop(), None);
-            assert_eq!(wheel.pop(), None);
-        }
-    }
-
-    /// Both backends produce identical pop sequences for identical
-    /// interleaved push/pop streams — the whole determinism contract,
-    /// exercised head-to-head.
-    #[test]
-    fn heap_and_wheel_are_equivalent() {
-        let mut rng = SimRng::seeded(0x0303);
-        for round in 0..64 {
-            let mut heap = EventQueue::with_kind(QueueKind::Heap);
-            let mut wheel = EventQueue::with_kind(QueueKind::Wheel);
-            let mut now = 0u64;
-            let mut next_id = 0u64;
-            for _ in 0..500 {
-                if heap.is_empty() || rng.uniform_u64(0, 4) > 0 {
-                    // Mix nearby and far-future timestamps across levels,
-                    // with deliberate collisions for the FIFO tie-break.
-                    let horizon = 1u64 << rng.uniform_u64(0, 36);
-                    let at = SimTime(now + rng.uniform_u64(0, horizon.max(2)) / 2 * 2);
-                    heap.push(at, next_id);
-                    wheel.push(at, next_id);
-                    next_id += 1;
-                } else {
-                    let a = heap.pop();
-                    let b = wheel.pop();
-                    assert_eq!(a, b, "divergence in round {round}");
-                    now = a.map(|(t, _)| t.0).unwrap_or(now);
-                }
-            }
-            loop {
-                let a = heap.pop();
-                let b = wheel.pop();
-                assert_eq!(a, b);
-                if a.is_none() {
-                    break;
-                }
-            }
-            assert_eq!(heap.stats(), wheel.stats());
         }
     }
 }

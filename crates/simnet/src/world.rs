@@ -29,7 +29,7 @@ use crate::shard::{ShardStats, Synchronizer};
 use rb_proto::{CommandSpec, ExitStatus, MachineAttrs, MachineId, Payload, ProcId, Signal};
 use rb_simcore::{
     merge_dispatch_logs, DispatchKey, Duration, EventQueue, Json, KeyStream, MetricsRegistry,
-    Profiler, QueueKind, QueueStats, SimTime, SpanId, SpanTracker, TraceRecorder,
+    Profiler, QueueStats, SimTime, SpanId, SpanTracker, TraceRecorder,
 };
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc};
@@ -60,7 +60,6 @@ pub struct WorldBuilder {
     trace_stream: Option<(Box<dyn std::io::Write + Send>, usize)>,
     profile: bool,
     metrics_interval: Option<Duration>,
-    scheduler: QueueKind,
     shards: usize,
     threads: usize,
     hb_trace: bool,
@@ -82,7 +81,6 @@ impl WorldBuilder {
             trace_stream: None,
             profile: false,
             metrics_interval: None,
-            scheduler: QueueKind::Heap,
             shards: 1,
             threads: 1,
             hb_trace: false,
@@ -160,14 +158,6 @@ impl WorldBuilder {
     /// `Option` branch per dispatched event and nothing else.
     pub fn metrics(mut self, interval: Duration) -> Self {
         self.metrics_interval = Some(interval);
-        self
-    }
-
-    /// Which data structure backs the kernel's event queues. Both kinds
-    /// replay bit-identically; `Wheel` trades the heap's `O(log n)` for
-    /// `O(1)` scheduling on deep queues.
-    pub fn scheduler(mut self, kind: QueueKind) -> Self {
-        self.scheduler = kind;
         self
     }
 
@@ -291,7 +281,7 @@ impl WorldBuilder {
                     }
                     mkern.push(kern);
                 }
-                let mut queue = EventQueue::with_kind(self.scheduler);
+                let mut queue = EventQueue::new();
                 // Typical clusters keep a few hundred events pending;
                 // skip the first growth reallocations.
                 queue.reserve(256);
@@ -325,7 +315,7 @@ impl WorldBuilder {
             now: SimTime::ZERO,
             shared,
             lanes,
-            harness_q: EventQueue::with_kind(self.scheduler),
+            harness_q: EventQueue::new(),
             harness_keys: KeyStream::harness(),
             harness_spans: SpanTracker::new(),
             stats: QueueStats::default(),
@@ -416,13 +406,24 @@ impl Drop for Pool {
     }
 }
 
-/// Re-raise a behavior's panic on the coordinator, naming the lane and the
-/// window it ran in.
-fn lane_panic(lane: usize, head: SimTime, end: SimTime, payload: PanicPayload) -> ! {
+/// Re-raise a behavior's panic on the coordinator, naming the lane, the
+/// window it ran in, and the dispatch that unwound: its machine, simulated
+/// time and `did=origin/idx` identity (the form hb records use). All three
+/// are read from what `dispatch_one` left in the lane, so the dispatch
+/// loop stores nothing extra for them.
+fn lane_panic(lane: &Lane, head: SimTime, end: SimTime, payload: PanicPayload) -> ! {
     let text = (payload.downcast_ref::<String>().map(String::as_str))
         .or_else(|| payload.downcast_ref::<&str>().copied())
         .unwrap_or("non-string panic payload");
-    panic!("lane {lane} panicked in window [{head}, {end}): {text}")
+    let kern = &lane.mkern[lane.cur];
+    panic!(
+        "lane {} panicked in window [{head}, {end}) dispatching on {} at {} (did={}/{}): {text}",
+        lane.idx,
+        kern.id,
+        lane.now,
+        kern.keys.origin(),
+        kern.keys.dispatch_idx()
+    )
 }
 
 /// A solo window yields after this many dispatches, bounding the trace a
@@ -540,11 +541,6 @@ impl World {
     /// same trajectory.
     pub fn kernel_stats(&self) -> QueueStats {
         self.stats
-    }
-
-    /// Which backend the kernel's event queues run on.
-    pub fn scheduler_kind(&self) -> QueueKind {
-        self.lanes[0].queue.kind()
     }
 
     /// How many event lanes the kernel runs (1 = serial).
@@ -852,7 +848,7 @@ impl World {
             m.cpu.generation().hash(&mut h);
         }
         // Pending events form a multiset with no stable order across
-        // backends or lanes; combine per-event hashes commutatively.
+        // heap layouts or lanes; combine per-event hashes commutatively.
         let mut pending: u64 = 0;
         let mut add = |at: SimTime, info: &EventInfo| {
             let mut eh = rb_simcore::FxHasher::default();
@@ -1391,7 +1387,7 @@ impl World {
         let shared = self.shared.clone();
         let run = self.lanes[li]
             .run_window(&shared, end, budget, false, first)
-            .unwrap_or_else(|p| lane_panic(li, head, end, p));
+            .unwrap_or_else(|p| lane_panic(&self.lanes[li], head, end, p));
         debug_assert!(run.last >= self.now, "window went backwards");
         let depth = self.stats.depth as i64;
         self.stats.dispatched += run.events;
@@ -1419,7 +1415,7 @@ impl World {
             for &li in active {
                 self.lanes[li]
                     .run_window(&shared, end, budget, true, None)
-                    .unwrap_or_else(|p| lane_panic(li, head, end, p));
+                    .unwrap_or_else(|p| lane_panic(&self.lanes[li], head, end, p));
             }
         }
         // Replay the merged logs against the world-side observers in
@@ -1477,7 +1473,7 @@ impl World {
             }
         }
         if let Some((idx, p)) = panicked {
-            lane_panic(idx, head, end, p);
+            lane_panic(&self.lanes[idx], head, end, p);
         }
     }
 
@@ -1523,8 +1519,7 @@ impl World {
     /// Oracle-guided pop: drain the earliest equal-time batch from the
     /// heads of lane 0 and the harness queue, let the installed
     /// [`WorldOracle`] pick one entry, and put the rest back with their
-    /// original keys (in ascending order, which keeps both queue backends
-    /// bit-identical — see [`EventQueue::requeue`]). Singleton batches
+    /// original keys. Singleton batches
     /// never consult the oracle, so guidance only costs anything where a
     /// real scheduling choice exists.
     fn pop_with_oracle(&mut self) -> Option<(SimTime, u64, Event)> {
@@ -1552,10 +1547,7 @@ impl World {
         let mut oracle = self.oracle.take().expect("caller checked");
         let idx = oracle.choose(at, state, &infos).min(batch.len() - 1);
         self.oracle = Some(oracle);
-        // O(1) extraction; the survivors then go back sorted by key, the
-        // order `requeue` needs for backend bit-identity.
         let (key, chosen) = batch.swap_remove(idx);
-        batch.sort_unstable_by_key(|&(k, _)| k);
         for (k, ev) in batch {
             let q = if matches!(ev, Event::Harness(_)) {
                 &mut self.harness_q

@@ -3,7 +3,7 @@
 use rb_broker::{build_cluster, Cluster, ClusterOptions, JobRequest, JobRun, Policy};
 use rb_parsys::{CalypsoConfig, CalypsoMaster, TaskBag};
 use rb_proto::{MachineAttrs, ProcId};
-use rb_simcore::{QueueKind, SimTime};
+use rb_simcore::SimTime;
 use rb_simnet::{BasePrograms, FactoryChain, World, WorldBuilder};
 
 /// The `loop` program's CPU cost: "a tight loop running in 5.3 seconds".
@@ -25,22 +25,10 @@ pub fn plain_world(publics: usize, seed: u64) -> World {
 /// owner at the console, hence outside the shared pool) plus `publics`
 /// public lab machines, all under a broker with the given policy.
 pub fn broker_testbed(publics: usize, seed: u64, policy: Box<dyn Policy>, trace: bool) -> Cluster {
-    broker_testbed_kind(publics, seed, policy, trace, QueueKind::default())
+    broker_testbed_sharded(publics, seed, policy, trace, 1)
 }
 
-/// [`broker_testbed`] with an explicit event-queue backend (both backends
-/// replay bit-identically; see the scheduler-equivalence tests).
-pub fn broker_testbed_kind(
-    publics: usize,
-    seed: u64,
-    policy: Box<dyn Policy>,
-    trace: bool,
-    scheduler: QueueKind,
-) -> Cluster {
-    broker_testbed_sharded(publics, seed, policy, trace, scheduler, 1)
-}
-
-/// [`broker_testbed_kind`] with an explicit event-shard count (1 = serial
+/// [`broker_testbed`] with an explicit event-shard count (1 = serial
 /// kernel; every count replays bit-identically — the sharded-equivalence
 /// tests sweep this).
 pub fn broker_testbed_sharded(
@@ -48,23 +36,20 @@ pub fn broker_testbed_sharded(
     seed: u64,
     policy: Box<dyn Policy>,
     trace: bool,
-    scheduler: QueueKind,
     shards: usize,
 ) -> Cluster {
-    broker_testbed_threaded(publics, seed, policy, trace, scheduler, shards, 1)
+    broker_testbed_threaded(publics, seed, policy, trace, shards, 1)
 }
 
 /// [`broker_testbed_sharded`] with worker threads dispatching the lanes
 /// in true parallel (threads = 1 runs each window's lanes inline; every
 /// combination replays bit-identically — the threaded-equivalence tests
 /// sweep this).
-#[allow(clippy::too_many_arguments)]
 pub fn broker_testbed_threaded(
     publics: usize,
     seed: u64,
     policy: Box<dyn Policy>,
     trace: bool,
-    scheduler: QueueKind,
     shards: usize,
     threads: usize,
 ) -> Cluster {
@@ -75,7 +60,6 @@ pub fn broker_testbed_threaded(
         machines,
         policy,
         trace,
-        scheduler,
         shards,
         threads,
         ..Default::default()
@@ -95,7 +79,6 @@ pub fn broker_testbed_hb(
     publics: usize,
     seed: u64,
     policy: Box<dyn Policy>,
-    scheduler: QueueKind,
     shards: usize,
 ) -> Cluster {
     let mut machines = vec![MachineAttrs::private_linux("n00", "user")];
@@ -105,7 +88,6 @@ pub fn broker_testbed_hb(
         machines,
         policy,
         trace: true,
-        scheduler,
         shards,
         hb_trace: true,
         ..Default::default()
@@ -150,7 +132,6 @@ pub fn broker_testbed_streamed(
     publics: usize,
     seed: u64,
     policy: Box<dyn Policy>,
-    scheduler: QueueKind,
     shards: usize,
     out: Box<dyn std::io::Write + Send>,
     tail_cap: usize,
@@ -163,7 +144,6 @@ pub fn broker_testbed_streamed(
         policy,
         trace: true,
         trace_stream: Some((out, tail_cap)),
-        scheduler,
         shards,
         ..Default::default()
     };

@@ -24,8 +24,9 @@ pub struct UtilizationConfig {
     /// Total experiment length, in hours.
     pub hours: f64,
     pub seed: u64,
-    /// Kernel event-queue backend (results are identical; throughput may
-    /// differ).
+    /// Unread: the kernel has one event-queue backend (see
+    /// [`rb_simcore::QueueKind`]). Kept because `perfbench` copies it into
+    /// `ClusterOptions::scheduler`.
     pub scheduler: rb_simcore::QueueKind,
     /// Kernel event shards (1 = serial; results are identical).
     pub shards: usize,
@@ -81,7 +82,6 @@ fn run_inner(cfg: &UtilizationConfig, timeline: bool) -> (UtilizationReport, rb_
         cfg.seed,
         Box::new(DefaultPolicy::default()),
         false,
-        cfg.scheduler,
         cfg.shards,
     );
     // The adaptive job fills the cluster.

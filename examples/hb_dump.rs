@@ -9,7 +9,7 @@
 
 use resourcebroker::broker::DefaultPolicy;
 use resourcebroker::proto::CommandSpec;
-use resourcebroker::simcore::{QueueKind, SimTime};
+use resourcebroker::simcore::SimTime;
 use resourcebroker::workloads::scenarios::{
     await_calypso_workers, broker_testbed_hb, submit_endless_calypso,
 };
@@ -29,13 +29,7 @@ fn main() {
 
     // The busy broker scenario the sharded-equivalence suite replays:
     // an adaptive calypso job grabs the cluster and keeps computing.
-    let mut c = broker_testbed_hb(
-        4,
-        42,
-        Box::new(DefaultPolicy::default()),
-        QueueKind::Heap,
-        shards,
-    );
+    let mut c = broker_testbed_hb(4, 42, Box::new(DefaultPolicy::default()), shards);
     submit_endless_calypso(&mut c, 4, 500);
     let limit = SimTime(c.world.now().as_micros() + 60_000_000);
     await_calypso_workers(&mut c, 4, limit);
@@ -45,12 +39,7 @@ fn main() {
 
     // Table 2's reallocation workload: the broker clears an occupied
     // machine for a sequential job while calypso adapts around it.
-    let (_, c) = prime_with_realloc_hb(
-        7,
-        CommandSpec::Loop { cpu_millis: 3_000 },
-        QueueKind::Heap,
-        shards,
-    );
+    let (_, c) = prime_with_realloc_hb(7, CommandSpec::Loop { cpu_millis: 3_000 }, shards);
     let realloc = c.world.render_trace_with_stats();
     write(&dir, "realloc_hb.trace", &realloc);
 }
